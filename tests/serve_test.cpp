@@ -2,10 +2,12 @@
 // bookkeeping, ServeLoop deadline/degradation behaviour under a scripted
 // ManualServeClock (bit-deterministic for any DTMSV_THREADS — the wall
 // clock only decides fidelity, never arithmetic), ServeWorkload
-// reproducibility, and the [serve] config loader.
+// reproducibility, a pinned golden of the paper wiring, and the [serve]
+// config loader.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -350,6 +352,85 @@ TEST(ServeLoop, ResultsAreBitIdenticalForAnyThreadCount) {
   for (std::size_t i = 0; i < one.degradations.size(); ++i) {
     EXPECT_EQ(one.degradations[i].to_name, four.degradations[i].to_name);
     EXPECT_EQ(one.degradations[i].interval, four.degradations[i].interval);
+  }
+}
+
+// ------------------------------------------------------------ serve golden
+
+/// Same rule as pipeline_test's golden_regime(): the pinned doubles assume
+/// the optimized FP regime they were captured in (-O3, -march=native), so
+/// unoptimized builds skip the pin, and a host whose codegen diverges can
+/// export DTMSV_SKIP_GOLDEN=1.
+bool golden_regime() {
+#if defined(__OPTIMIZE__)
+  return std::getenv("DTMSV_SKIP_GOLDEN") == nullptr;
+#else
+  return false;
+#endif
+}
+
+struct ServeGoldenInterval {
+  std::size_t k;
+  double silhouette;
+  double predicted_radio;
+  double predicted_compute;
+};
+
+/// The paper wiring (cnn + ddqn + joint) on a single `cnn:full` rung, fed
+/// by a seeded ServeWorkload; a ManualServeClock keeps every prediction
+/// instantaneous so the ladder never moves.
+std::vector<core::EpochReport> run_serve_golden_scenario() {
+  core::ServeConfig cfg = small_serve(24);
+  cfg.scheme.grouping_stage = "ddqn";
+  cfg.scheme.demand_stage = "joint";
+  cfg.scheme.grouping.k_min = 2;
+  cfg.scheme.grouping.k_max = 6;
+  cfg.scheme.grouping.ddqn.hidden = {32};
+  cfg.degradation.ladder = {{"cnn_full", "cnn", /*full_extraction=*/true}};
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(cfg, clock, &sink);
+  core::ServeWorkloadConfig wl_cfg;
+  wl_cfg.seed = 17;
+  wl_cfg.user_count = cfg.scheme.user_count;
+  wl_cfg.engagement = cfg.scheme.session.engagement;
+  core::ServeWorkload workload(wl_cfg, loop.catalog());
+  std::vector<core::TwinEvent> events;
+  for (std::size_t i = 0; i < 6; ++i) {
+    events.clear();
+    workload.generate(10.0 * static_cast<double>(i),
+                      10.0 * static_cast<double>(i + 1), events);
+    for (const core::TwinEvent& e : events) {
+      loop.offer(e);
+    }
+    loop.advance_to(10.0 * static_cast<double>(i + 1));
+  }
+  return sink.reports;
+}
+
+TEST(ServeRegression, PaperWiringReproducesPinnedStream) {
+  if (!golden_regime()) {
+    GTEST_SKIP() << "golden stream pinned for optimized FP regime only";
+  }
+  // Captured from the serve loop before batch and serve shared one
+  // prediction pass; one entry per fired boundary.
+  const std::vector<ServeGoldenInterval> golden = {
+      {3, 0.31908263044432411, 1698830.8186931449, 2061175777.7220755},
+      {4, 0.29796542355578109, 2268506.8941703588, 3008823009.2979193},
+      {4, 0.2925729024023464, 2218064.287848074, 2832286569.8027096},
+      {2, 0.43360092245607801, 1089666.4261919772, 994548343.29749799},
+      {5, 0.17402173019259651, 2780830.3394110939, 3312150994.8915362},
+      {3, 0.29970419339413568, 1913819.8271715064, 1567705840.750896},
+  };
+  const std::vector<core::EpochReport> reports = run_serve_golden_scenario();
+  ASSERT_EQ(reports.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const core::EpochReport& r = reports[i];
+    EXPECT_EQ(static_cast<std::size_t>(r.interval), i);
+    EXPECT_EQ(r.k, golden[i].k) << "interval " << i;
+    EXPECT_DOUBLE_EQ(r.silhouette, golden[i].silhouette) << "interval " << i;
+    EXPECT_DOUBLE_EQ(r.predicted_radio_hz_total, golden[i].predicted_radio) << i;
+    EXPECT_DOUBLE_EQ(r.predicted_compute_total, golden[i].predicted_compute) << i;
   }
 }
 
