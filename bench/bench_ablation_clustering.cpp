@@ -1,4 +1,4 @@
-// ABL-CLU — ablation of design choice 2 (DESIGN.md §4): how the grouping
+// ABL-CLU (README, *Experiment index*) — ablation of how the grouping
 // number K is chosen. Compares the paper's DDQN-empowered selection against
 // fixed K, the elbow heuristic, a uniform-random K, and the slow
 // silhouette-sweep oracle, all running the identical end-to-end pipeline.

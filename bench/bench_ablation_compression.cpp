@@ -1,4 +1,4 @@
-// ABL-CMP — ablation of design choice 1 (DESIGN.md §4): how the UDT
+// ABL-CMP (README, *Experiment index*) — ablation of how the UDT
 // time-series windows are turned into clustering features. Compares the
 // paper's 1D-CNN autoencoder embedding against clustering the raw flattened
 // windows and hand-rolled summary statistics.

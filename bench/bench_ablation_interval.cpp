@@ -1,4 +1,4 @@
-// ABL-INT — ablation of design choice 5 (DESIGN.md §4): the resource
+// ABL-INT (README, *Experiment index*) — ablation of the resource
 // reservation interval. The paper fixes it at 5 minutes; this bench sweeps
 // it and reports prediction accuracy plus the provisioning consequences
 // (how much spectrum a planner reserving prediction + 10% headroom wastes

@@ -1,6 +1,6 @@
 // Shared scenario configuration and measurement helpers for the bench
 // harnesses. Every harness derives from paper_config() so results are
-// comparable across benches; see DESIGN.md §5 for the experiment index.
+// comparable across benches; see README, *Experiment index*.
 #pragma once
 
 #include <string>

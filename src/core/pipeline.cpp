@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -444,6 +445,98 @@ std::string demand_stage_key(const SchemeConfig& config) {
   DTMSV_EXPECTS_MSG(!config.demand_stage.empty(),
                     "SchemeConfig::demand_stage must name a registry key");
   return config.demand_stage;
+}
+
+// ---------------------------------------------------------- prediction pass
+
+double wall_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+namespace {
+
+[[noreturn]] void throw_bad_grouping(const GroupingStage& stage,
+                                     const std::string& detail) {
+  throw util::RuntimeError("GroupingStage '" + stage.name() + "': " + detail);
+}
+
+}  // namespace
+
+PredictionPass predict_groups(const TwinSnapshot& snapshot, FeatureStage& feature,
+                              GroupingStage& grouping, DemandStage& demand,
+                              util::Rng& cluster_rng, const PredictionInputs& inputs) {
+  const SchemeConfig& config = inputs.config;
+  PredictionPass pass;
+
+  const double t_feature0 = wall_s();
+  const FeatureOutput features = feature.extract(snapshot);
+  pass.reconstruction_loss = features.reconstruction_loss;
+  const double t_grouping0 = wall_s();
+  pass.feature_s = t_grouping0 - t_feature0;
+
+  const GroupingOutcome outcome = grouping.group(features.points, cluster_rng);
+  pass.k = outcome.k;
+  pass.silhouette = outcome.silhouette;
+  pass.epsilon = outcome.epsilon;
+  const double t_demand0 = wall_s();
+  pass.grouping_s = t_demand0 - t_grouping0;
+
+  // Bucket users in one pass; visiting them in ascending order keeps every
+  // member list, and so every group aggregate, in ascending user order. A
+  // malformed assignment would drop users or index past the buckets.
+  const std::size_t users = snapshot.twins->user_count();
+  if (outcome.assignment.size() != users) {
+    throw_bad_grouping(grouping, "assignment has " +
+                                     std::to_string(outcome.assignment.size()) +
+                                     " entries for " + std::to_string(users) +
+                                     " users");
+  }
+  std::vector<std::vector<std::size_t>> buckets(outcome.k);
+  for (std::size_t u = 0; u < users; ++u) {
+    const std::size_t g = outcome.assignment[u];
+    if (g >= outcome.k) {
+      throw_bad_grouping(grouping, "user " + std::to_string(u) +
+                                       " assigned to cluster " + std::to_string(g) +
+                                       ", outside [0, " +
+                                       std::to_string(outcome.k) + ")");
+    }
+    buckets[g].push_back(u);
+  }
+
+  pass.groups.reserve(outcome.k);
+  std::vector<const twin::UserDigitalTwin*> member_twins;
+  for (std::size_t g = 0; g < outcome.k; ++g) {
+    if (buckets[g].empty()) {
+      continue;  // K-means re-seeding should prevent this, but stay safe
+    }
+    GroupPrediction& group = pass.groups.emplace_back();
+    group.cluster = g;
+    group.members = std::move(buckets[g]);
+    member_twins.clear();
+    for (const std::size_t u : group.members) {
+      member_twins.push_back(&snapshot.twins->twin(u));
+    }
+
+    group.swiping = analysis::build_group_swiping(
+        member_twins, snapshot.now, config.feature_window_s, config.swiping_bins,
+        config.swiping_forgetting);
+    group.preference = analysis::aggregate_group_preference(member_twins);
+    group.recommendation = analysis::recommend(inputs.catalog, inputs.popularity,
+                                               group.preference, config.recommender);
+
+    GroupDemandContext context;
+    context.members = &member_twins;
+    context.preference = &group.preference;
+    context.swiping = &group.swiping;
+    context.playlist_per_category = &group.recommendation.per_category_counts;
+    context.content = &inputs.content;
+    context.now = snapshot.now;
+    group.forecast = demand.predict(context);
+  }
+  pass.demand_s = wall_s() - t_demand0;
+  return pass;
 }
 
 }  // namespace dtmsv::core

@@ -8,6 +8,12 @@
 //   DemandStage    abstracted group state -> next-interval radio+compute
 //                  demand (paper: joint min-series channel forecast, "joint")
 //
+// predict_groups() runs the three stages plus the group abstraction between
+// them (swiping distribution, preference, recommendation) as one pass. It is
+// the only wiring of the scheme: batch Simulation and the serve loop both
+// call it and keep only what differs (ground truth and bias correction in
+// batch, the deadline and ladder in serve).
+//
 // Stages are selected by string key through the process-wide StageRegistry,
 // so alternative backends (the ablation baselines here, or out-of-tree
 // research variants) plug in without touching core::Simulation. The keys on
@@ -29,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/recommend.hpp"
 #include "analysis/swiping.hpp"
 #include "behavior/preference.hpp"
 #include "clustering/kmeans.hpp"
@@ -389,5 +396,54 @@ struct StageTimings {
   double pipeline_s() const { return feature_s + grouping_s + demand_s; }
   double total_s() const { return simulate_s + pipeline_s(); }
 };
+
+/// Monotonic wall seconds (steady_clock). Telemetry only: it never feeds
+/// arithmetic, so results stay bit-identical however long a stage takes.
+double wall_s();
+
+// ---------------------------------------------------------- prediction pass
+
+/// Read-only scheme state one prediction pass consumes besides the twins.
+/// All references must outlive the predict_groups() call.
+struct PredictionInputs {
+  const SchemeConfig& config;
+  const video::Catalog& catalog;
+  const analysis::PopularityAnalyzer& popularity;
+  const predict::ContentStats& content;
+};
+
+/// One non-empty group's abstraction and forecast.
+struct GroupPrediction {
+  std::size_t cluster = 0;            // grouping cluster index, in [0, k)
+  std::vector<std::size_t> members;   // ascending user ids
+  analysis::SwipingDistribution swiping;
+  behavior::PreferenceVector preference{};
+  analysis::Recommendation recommendation;
+  GroupDemandForecast forecast;
+};
+
+/// Outcome of one predict_groups() call.
+struct PredictionPass {
+  std::size_t k = 0;
+  double silhouette = 0.0;
+  double epsilon = 0.0;
+  float reconstruction_loss = 0.0f;
+  /// Non-empty groups in ascending cluster order (an empty cluster gets no
+  /// record).
+  std::vector<GroupPrediction> groups;
+  /// Wall seconds of each phase (StageTimings buckets).
+  double feature_s = 0.0;   // FeatureStage::extract
+  double grouping_s = 0.0;  // GroupingStage::group
+  double demand_s = 0.0;    // group abstraction + DemandStage::predict
+};
+
+/// The scheme's prediction for the next interval: feature extraction over
+/// `snapshot` -> grouping (drawing from `cluster_rng`) -> per-group swiping
+/// distribution, preference and recommendation -> DemandStage::predict.
+/// Throws util::RuntimeError naming the grouping stage when its assignment
+/// does not hold one entry in [0, k) per user of the snapshot.
+PredictionPass predict_groups(const TwinSnapshot& snapshot, FeatureStage& feature,
+                              GroupingStage& grouping, DemandStage& demand,
+                              util::Rng& cluster_rng, const PredictionInputs& inputs);
 
 }  // namespace dtmsv::core

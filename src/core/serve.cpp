@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "analysis/recommend.hpp"
-#include "analysis/swiping.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::core {
@@ -104,7 +102,7 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
       policy_(config.degradation),
       cluster_rng_(0),
       preference_dirty_(config.scheme.user_count, 0) {
-  // Mirror the batch Simulation's RNG fork schedule for the stage streams:
+  // The batch Simulation's RNG fork schedule for the stage streams:
   // the feature stage may draw from rng_.fork(6), the grouping stage from
   // rng_.fork(7), the clustering stream is fork(9) (see StageRegistry
   // docs). Every ladder rung shares one feature-stage fork source so the
@@ -211,8 +209,6 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   const std::size_t level = policy_.level();
   const DegradationLevel& rung = policy_.at(level);
 
-  const double t0 = clock_->now_s();
-
   TwinSnapshot snapshot;
   snapshot.twins = twins_.get();
   snapshot.now = at;
@@ -221,68 +217,10 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   snapshot.scaling = config_.scaling;
   snapshot.arena = &arena_;
   snapshot.force_full = rung.full_extraction;
-  const FeatureOutput features = feature_stages_[level]->extract(snapshot);
-
-  EpochReport report;
-  report.interval = interval_;
-  report.has_prediction = true;
-  report.grouped = true;
-  report.reconstruction_loss = features.reconstruction_loss;
-
-  const GroupingOutcome grouping =
-      grouping_stage_->group(features.points, cluster_rng_);
-  report.k = grouping.k;
-  report.silhouette = grouping.silhouette;
-  report.ddqn_epsilon = grouping.epsilon;
-
-  // Group abstraction + demand prediction, mirroring the batch
-  // Simulation::rebuild_groups wiring. Serve mode has no simulated ground
-  // truth, so the actual_* fields stay zero and no bias feedback runs.
-  std::vector<std::size_t> members;
-  std::vector<const twin::UserDigitalTwin*> member_twins;
-  for (std::size_t g = 0; g < grouping.k; ++g) {
-    members.clear();
-    member_twins.clear();
-    for (std::size_t u = 0; u < grouping.assignment.size(); ++u) {
-      if (grouping.assignment[u] == g) {
-        members.push_back(u);
-        member_twins.push_back(&twins_->twin(u));
-      }
-    }
-    if (members.empty()) {
-      continue;
-    }
-
-    const analysis::SwipingDistribution swiping = analysis::build_group_swiping(
-        member_twins, at, config_.scheme.feature_window_s,
-        config_.scheme.swiping_bins, config_.scheme.swiping_forgetting);
-    const behavior::PreferenceVector preference =
-        analysis::aggregate_group_preference(member_twins);
-    const analysis::Recommendation recommendation = analysis::recommend(
-        catalog_, popularity_, preference, config_.scheme.recommender);
-
-    GroupDemandContext context;
-    context.members = &member_twins;
-    context.preference = &preference;
-    context.swiping = &swiping;
-    context.playlist_per_category = &recommendation.per_category_counts;
-    context.content = &content_;
-    context.now = at;
-    const GroupDemandForecast forecast = demand_stage_->predict(context);
-
-    GroupReport group_report;
-    group_report.group_id = g;
-    group_report.size = members.size();
-    group_report.predicted_efficiency = forecast.efficiency;
-    group_report.predicted_radio_hz = forecast.demand.radio_hz;
-    group_report.predicted_compute_cycles = forecast.demand.compute_cycles;
-    report.predicted_radio_hz_total += forecast.demand.radio_hz;
-    report.predicted_compute_total += forecast.demand.compute_cycles;
-    if (sink_ != nullptr) {
-      sink_->on_group(group_report, interval_);
-    }
-  }
-
+  const double t0 = clock_->now_s();
+  const PredictionPass pass = predict_groups(
+      snapshot, *feature_stages_[level], *grouping_stage_, *demand_stage_,
+      cluster_rng_, {config_.scheme, catalog_, popularity_, content_});
   const double t1 = clock_->now_s();
   const double latency_ms = (t1 - t0) * 1e3;
   const bool deadline_hit = latency_ms <= config_.deadline_ms;
@@ -291,6 +229,30 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   stats_.latencies_ms.push_back(latency_ms);
   if (!deadline_hit) {
     ++stats_.deadline_misses;
+  }
+
+  // Serve mode has no simulated ground truth, so the actual_* fields stay
+  // zero and no bias feedback runs. Groups are numbered by cluster index.
+  EpochReport report;
+  report.interval = interval_;
+  report.has_prediction = true;
+  report.grouped = true;
+  report.k = pass.k;
+  report.silhouette = pass.silhouette;
+  report.ddqn_epsilon = pass.epsilon;
+  report.reconstruction_loss = pass.reconstruction_loss;
+  for (const GroupPrediction& group : pass.groups) {
+    GroupReport group_report;
+    group_report.group_id = group.cluster;
+    group_report.size = group.members.size();
+    group_report.predicted_efficiency = group.forecast.efficiency;
+    group_report.predicted_radio_hz = group.forecast.demand.radio_hz;
+    group_report.predicted_compute_cycles = group.forecast.demand.compute_cycles;
+    report.predicted_radio_hz_total += group_report.predicted_radio_hz;
+    report.predicted_compute_total += group_report.predicted_compute_cycles;
+    if (sink_ != nullptr) {
+      sink_->on_group(group_report, interval_);
+    }
   }
 
   // Interval housekeeping (as in batch mode).

@@ -6,9 +6,10 @@
 // TwinEvents (offer()), holds them in a bounded EventQueue (backpressure:
 // shed-oldest with exact drop accounting), and on every interval boundary
 // crossed by advance_to() drains the admitted events into the columnar
-// TwinColumnStore and fires the pipeline — feature extraction, grouping,
-// per-group abstraction + demand prediction — exactly as the batch
-// interval loop wires it.
+// TwinColumnStore and runs core::predict_groups() (core/pipeline.hpp) —
+// the same prediction pass the batch interval loop calls. The loop adds
+// only what serving needs around it: drop reports, preference snapshots,
+// the deadline and the degradation ladder.
 //
 // Latency SLO: each fired prediction is timed against ServeConfig::
 // deadline_ms using an injected ServeClock (steady_clock in production, a
@@ -17,14 +18,13 @@
 // decides *fidelity*, never arithmetic). A DegradationPolicy folds the
 // hit/miss stream into a position on a fidelity ladder; each rung names a
 // FeatureStage registry key plus an extraction mode, so degrading under
-// load is a pure key swap through PR 3's StageRegistry (cnn+full ->
+// load is a pure key swap through the StageRegistry (cnn+full ->
 // cnn-incremental -> summary by default) and recovery steps back up after
 // sustained hits. Every transition and every drop batch streams through
 // the ReportSink interface (on_degradation / on_drop) next to the ordinary
 // group/interval reports.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -49,9 +49,9 @@ namespace dtmsv::core {
 // ------------------------------------------------------------------ clocks
 
 /// Wall-clock source for deadline accounting. The loop samples it exactly
-/// twice per fired prediction (immediately before feature extraction and
-/// immediately after demand prediction), which is the contract scripted
-/// test clocks rely on.
+/// twice per fired prediction (immediately before and after the
+/// predict_groups() call, i.e. before feature extraction and after demand
+/// prediction), which is the contract scripted test clocks rely on.
 class ServeClock {
  public:
   virtual ~ServeClock() = default;
@@ -61,11 +61,7 @@ class ServeClock {
 /// Production clock: std::chrono::steady_clock.
 class SteadyServeClock final : public ServeClock {
  public:
-  double now_s() override {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
+  double now_s() override { return wall_s(); }
 };
 
 /// Deterministic scripted clock for tests. Each now_s() call first advances

@@ -1,7 +1,6 @@
 #include "core/simulation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -9,17 +8,6 @@
 #include "util/error.hpp"
 
 namespace dtmsv::core {
-
-namespace {
-
-/// Monotonic seconds for the stage-timing breakdown.
-double wall_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 void validate(const SchemeConfig& config) {
   DTMSV_EXPECTS_MSG(config.user_count > 0, "SchemeConfig: user_count must be > 0");
@@ -348,66 +336,42 @@ behavior::PreferenceVector Simulation::handover_user(
   return outgoing;
 }
 
-void Simulation::rebuild_groups(const clustering::Points& points,
-                                EpochReport& report) {
-  const double t_group0 = wall_s();
-  GroupingOutcome grouping = grouping_stage_->group(points, cluster_rng_);
-  report.k = grouping.k;
-  report.silhouette = grouping.silhouette;
-  report.ddqn_epsilon = grouping.epsilon;
-  const double t_group1 = wall_s();
-  timings_.grouping_s += t_group1 - t_group0;
+void Simulation::predict_next_interval(EpochReport& report) {
+  TwinSnapshot snapshot;
+  snapshot.twins = twins_.get();
+  snapshot.now = now_;
+  snapshot.window_s = config_.feature_window_s;
+  snapshot.timesteps = config_.feature_timesteps;
+  snapshot.scaling =
+      twin::FeatureScaling{campus_.width(), campus_.height(), 10.0, 40.0};
+  snapshot.arena = &feature_arena_;
+  PredictionPass pass =
+      predict_groups(snapshot, *feature_stage_, *grouping_stage_, *demand_stage_,
+                     cluster_rng_, {config_, catalog_, popularity_, content_});
+  report.k = pass.k;
+  report.silhouette = pass.silhouette;
+  report.ddqn_epsilon = pass.epsilon;
+  report.reconstruction_loss = pass.reconstruction_loss;
+  timings_.feature_s += pass.feature_s;
+  timings_.grouping_s += pass.grouping_s;
+  timings_.demand_s += pass.demand_s;
 
   groups_.clear();
-  for (std::size_t g = 0; g < grouping.k; ++g) {
-    Group group(config_.swiping_bins, config_.swiping_forgetting);
-    for (std::size_t u = 0; u < grouping.assignment.size(); ++u) {
-      if (grouping.assignment[u] == g) {
-        group.members.push_back(u);
-      }
+  for (GroupPrediction& prediction : pass.groups) {
+    Group& group = groups_.emplace_back(std::move(prediction));
+    if (!config_.online_bias_correction) {
+      continue;
     }
-    if (group.members.empty()) {
-      continue;  // K-means re-seeding should prevent this, but stay safe
+    predict::ResourceDemand& predicted = group.forecast.demand;
+    if (radio_bias_.has_value()) {
+      const double f = std::clamp(radio_bias_.value(), 0.7, 1.3);
+      predicted.radio_hz *= f;
+      predicted.transmitted_bits *= f;
     }
-
-    std::vector<const twin::UserDigitalTwin*> member_twins;
-    member_twins.reserve(group.members.size());
-    for (const std::size_t u : group.members) {
-      member_twins.push_back(&twins_->twin(u));
+    if (compute_bias_.has_value()) {
+      predicted.compute_cycles *= std::clamp(compute_bias_.value(), 0.5, 1.5);
     }
-
-    group.swiping =
-        analysis::build_group_swiping(member_twins, now_, config_.feature_window_s,
-                                      config_.swiping_bins, config_.swiping_forgetting);
-    group.preference = analysis::aggregate_group_preference(member_twins);
-    group.recommendation =
-        analysis::recommend(catalog_, popularity_, group.preference,
-                            config_.recommender);
-
-    GroupDemandContext context;
-    context.members = &member_twins;
-    context.preference = &group.preference;
-    context.swiping = &group.swiping;
-    context.playlist_per_category = &group.recommendation.per_category_counts;
-    context.content = &content_;
-    context.now = now_;
-    const GroupDemandForecast forecast = demand_stage_->predict(context);
-    group.predicted_efficiency = forecast.efficiency;
-    group.predicted = forecast.demand;
-    if (config_.online_bias_correction) {
-      if (radio_bias_.has_value()) {
-        const double f = std::clamp(radio_bias_.value(), 0.7, 1.3);
-        group.predicted.radio_hz *= f;
-        group.predicted.transmitted_bits *= f;
-      }
-      if (compute_bias_.has_value()) {
-        group.predicted.compute_cycles *=
-            std::clamp(compute_bias_.value(), 0.5, 1.5);
-      }
-    }
-    groups_.push_back(std::move(group));
   }
-  timings_.demand_s += wall_s() - t_group1;
 }
 
 EpochReport Simulation::run_interval_impl(ReportSink* sink) {
@@ -449,12 +413,12 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
       gr.group_id = g;
       gr.size = grp.members.size();
       gr.rung = grp.rung;
-      gr.predicted_efficiency = grp.predicted_efficiency;
+      gr.predicted_efficiency = grp.forecast.efficiency;
       gr.realized_efficiency =
           grp.on_air_time > 0.0 ? grp.efficiency_time_integral / grp.on_air_time : 0.0;
-      gr.predicted_radio_hz = grp.predicted.radio_hz;
+      gr.predicted_radio_hz = grp.forecast.demand.radio_hz;
       gr.actual_radio_hz = grp.hz_seconds / config_.interval_s;
-      gr.predicted_compute_cycles = grp.predicted.compute_cycles;
+      gr.predicted_compute_cycles = grp.forecast.demand.compute_cycles;
       gr.actual_compute_cycles = grp.compute_cycles;
       gr.unicast_radio_hz = grp.unicast_hz_seconds / config_.interval_s;
       gr.videos_played = grp.videos_played;
@@ -505,19 +469,7 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
 
   // Re-cluster and predict for the next interval once warm-up is over.
   if (interval_ + 1 >= static_cast<util::IntervalId>(config_.warmup_intervals)) {
-    const double t_feat0 = wall_s();
-    TwinSnapshot snapshot;
-    snapshot.twins = twins_.get();
-    snapshot.now = now_;
-    snapshot.window_s = config_.feature_window_s;
-    snapshot.timesteps = config_.feature_timesteps;
-    snapshot.scaling =
-        twin::FeatureScaling{campus_.width(), campus_.height(), 10.0, 40.0};
-    snapshot.arena = &feature_arena_;
-    FeatureOutput features = feature_stage_->extract(snapshot);
-    report.reconstruction_loss = features.reconstruction_loss;
-    timings_.feature_s += wall_s() - t_feat0;
-    rebuild_groups(features.points, report);
+    predict_next_interval(report);
   }
 
   ++interval_;

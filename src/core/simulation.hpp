@@ -4,10 +4,12 @@
 //   tick loop (1 s): mobility -> channel -> viewing (individual sessions
 //     during warm-up, group-feed multicast playback after) -> UDT collection
 //   interval end:    realized demand vs. the prediction made one interval
-//     earlier -> FeatureStage (1D-CNN compression of UDT windows) ->
-//     GroupingStage (DDQN+K-means++) -> per-group swiping distribution,
-//     preference aggregation, recommendation -> DemandStage (radio &
-//     computing demand prediction for the next interval).
+//     earlier -> core::predict_groups() (core/pipeline.hpp, the prediction
+//     pass shared with the serve loop): FeatureStage (1D-CNN compression
+//     of UDT windows) -> GroupingStage (DDQN+K-means++) -> per-group
+//     swiping distribution, preference aggregation, recommendation ->
+//     DemandStage (radio & computing demand for the next interval) ->
+//     online bias correction of the returned forecasts.
 //
 // The three stages are pluggable through core/pipeline.hpp's StageRegistry;
 // the defaults reproduce the paper. Ground truth and prediction share the
@@ -191,13 +193,11 @@ class Simulation {
   void load_models(std::istream& is);
 
  private:
-  struct Group {
-    std::vector<std::size_t> members;
-    behavior::PreferenceVector preference{};
-    analysis::Recommendation recommendation;
-    analysis::SwipingDistribution swiping;
-    predict::ResourceDemand predicted;
-    double predicted_efficiency = 0.0;
+  /// One active multicast group: the prediction pass's record (its
+  /// forecast bias-corrected) plus playback and accounting state.
+  struct Group : GroupPrediction {
+    explicit Group(GroupPrediction prediction)
+        : GroupPrediction(std::move(prediction)) {}
 
     // Playback state.
     std::size_t playlist_pos = 0;
@@ -217,9 +217,6 @@ class Simulation {
     double efficiency_time_integral = 0.0;  // for mean realized efficiency
     double on_air_time = 0.0;
     std::size_t videos_played = 0;
-
-    explicit Group(std::size_t swiping_bins, double swiping_forgetting)
-        : swiping(swiping_bins, swiping_forgetting) {}
   };
 
   EpochReport run_interval_impl(ReportSink* sink);
@@ -230,7 +227,7 @@ class Simulation {
   void start_group_video(Group& g, util::SimTime at);
   void advance_group(Group& g, util::SimTime from, double dt,
                      std::vector<behavior::ViewEvent>& events);
-  void rebuild_groups(const clustering::Points& points, EpochReport& report);
+  void predict_next_interval(EpochReport& report);
 
   SchemeConfig config_;
   util::Rng rng_;

@@ -1,6 +1,6 @@
 // Baseline demand predictors that operate directly on the realized demand
 // time series (no digital-twin state). These are the comparators for the
-// accuracy table bench (TAB-ACC in DESIGN.md).
+// accuracy table bench (TAB-ACC; README, *Experiment index*).
 #pragma once
 
 #include <deque>

@@ -2,7 +2,7 @@
 // prediction from the abstracted group information (swiping probability
 // distribution, recommended videos, predicted channel efficiency).
 //
-// Structural model (see DESIGN.md §4/§5):
+// Structural model:
 //   * every member watches the group's multicast feed continuously;
 //   * each distinct video is multicast once, staying on air until its last
 //     viewer swipes (expected max watch fraction from the swiping CDF);
@@ -71,7 +71,7 @@ struct DemandModelConfig {
 double expected_distinct(double views, double playlist);
 
 /// Predicts one group's next-interval demand from abstracted group state,
-/// mirroring the group-feed multicast mechanics the simulator executes:
+/// modelling the group-feed multicast mechanics the simulator executes:
 /// the group plays recommended videos back-to-back; every member watches
 /// each clip (swiping individually); a clip stays on air until its last
 /// viewer swipes (+ prefetch), bounded by the clip length.

@@ -1,7 +1,6 @@
-// Observation records stored in a user digital twin, shared between the
-// per-user AttributeSeries (standalone twins) and the columnar
-// TwinColumnStore (the fleet data plane): channel condition, finished
-// views, and the normalisation constants feature extraction applies.
+// Observation records stored in a user digital twin's columnar
+// TwinColumnStore: channel condition, finished views, and the
+// normalisation constants feature extraction applies.
 #pragma once
 
 #include <cstddef>

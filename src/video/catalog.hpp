@@ -1,7 +1,7 @@
 // Short-video content model: categories, bitrate ladders, and a popularity-
 // weighted catalog. Mirrors the structure of the public short-video-
 // streaming-challenge dataset (5-rung ladders, 5–60 s clips) that the paper
-// evaluates on; see DESIGN.md §2 for the substitution rationale.
+// evaluates on (video/dataset.hpp generates the stand-in).
 #pragma once
 
 #include <array>

@@ -1,6 +1,6 @@
 // Large-scale propagation: log-distance path loss with log-normal shadowing,
-// the standard 3GPP-style urban model (see DESIGN.md §2 for why this stands
-// in for the authors' campus measurements).
+// the standard 3GPP-style urban model, standing in for the authors' campus
+// measurements.
 #pragma once
 
 #include "mobility/campus_map.hpp"

@@ -1,17 +1,22 @@
 // Tests for the pluggable interval pipeline (core/pipeline.hpp): the
 // string-keyed StageRegistry, enum-alias/key equivalence, the streaming
 // ReportSink contract, an out-of-tree stage registered from this binary,
-// per-stage wall-time accounting, and the bit-identity regression locking
-// the refactored pipeline to the pre-refactor report stream.
+// the shared prediction pass's grouping validation and empty-cluster
+// handling in batch and serve mode, per-stage wall-time accounting, and the
+// bit-identity regression locking the refactored pipeline to the
+// pre-refactor report stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.hpp"
 #include "core/pipeline.hpp"
+#include "core/serve.hpp"
 #include "core/simulation.hpp"
 #include "util/error.hpp"
 
@@ -383,6 +388,123 @@ TEST(CustomStage, OutOfTreeGroupingStageRunsFullInterval) {
   // The delayed-reward feedback reaches custom stages as well.
   EXPECT_GT(live_stage->outcomes_reported, 0u);
   EXPECT_GE(live_stage->last_error, 0.0);
+}
+
+// ------------------------------------------------ shared prediction pass
+
+/// A grouping stage defined in this test binary that returns a malformed
+/// or gapped outcome on purpose: the prediction pass must validate what
+/// out-of-tree stages hand it.
+class ScriptedGroupingStage final : public core::GroupingStage {
+ public:
+  enum class Mode { kSkipCluster, kOutOfRange, kShortAssignment };
+  explicit ScriptedGroupingStage(Mode mode) : mode_(mode) {}
+
+  core::GroupingOutcome group(const clustering::Points& features,
+                              util::Rng&) override {
+    // Three clusters, users alternating between 0 and 2: cluster 1 empty.
+    core::GroupingOutcome out;
+    out.k = 3;
+    out.assignment.resize(features.size());
+    for (std::size_t u = 0; u < features.size(); ++u) {
+      out.assignment[u] = u % 2 == 0 ? 0 : 2;
+    }
+    if (mode_ == Mode::kOutOfRange) {
+      out.assignment[1] = 3;
+    } else if (mode_ == Mode::kShortAssignment) {
+      out.assignment.pop_back();
+    }
+    return out;
+  }
+  std::string name() const override { return "test_scripted"; }
+
+ private:
+  Mode mode_;
+};
+
+/// Registers the scripted stages once per process.
+void register_scripted_stages() {
+  [[maybe_unused]] static const bool registered = [] {
+    using Mode = ScriptedGroupingStage::Mode;
+    for (const auto& [key, mode] :
+         {std::pair{"test_skip_cluster", Mode::kSkipCluster},
+          std::pair{"test_out_of_range", Mode::kOutOfRange},
+          std::pair{"test_short_assignment", Mode::kShortAssignment}}) {
+      StageRegistry::instance().register_grouping(
+          key, [mode = mode](const SchemeConfig&, util::Rng&) {
+            return std::make_unique<ScriptedGroupingStage>(mode);
+          });
+    }
+    return true;
+  }();
+}
+
+core::ServeConfig pass_serve_config(const std::string& grouping_stage) {
+  core::ServeConfig cfg;
+  cfg.scheme.seed = 5;
+  cfg.scheme.user_count = 12;
+  cfg.scheme.interval_s = 10.0;
+  cfg.scheme.demand.interval_s = 10.0;
+  cfg.scheme.feature_window_s = 30.0;
+  cfg.scheme.feature_timesteps = 8;
+  cfg.scheme.session.engagement.catalog.videos_per_category = 3;
+  cfg.scheme.grouping_stage = grouping_stage;
+  cfg.degradation.ladder = {{"summary", "summary", /*full_extraction=*/false}};
+  return cfg;
+}
+
+TEST(PredictionPass, MalformedAssignmentThrowsInBothModes) {
+  register_scripted_stages();
+  for (const char* key : {"test_out_of_range", "test_short_assignment"}) {
+    SchemeConfig cfg = golden_config(31);
+    cfg.grouping_stage = key;  // golden_config predicts after interval 0
+    Simulation sim(cfg);
+    try {
+      sim.run_interval();
+      FAIL() << key << ": batch must reject the assignment";
+    } catch (const util::RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("test_scripted"), std::string::npos)
+          << e.what();
+    }
+
+    core::ManualServeClock clock;
+    core::ServeLoop loop(pass_serve_config(key), clock);
+    EXPECT_THROW(loop.advance_to(10.0), util::RuntimeError) << key;
+  }
+}
+
+TEST(PredictionPass, EmptyClusterIsSkippedInBothModes) {
+  register_scripted_stages();
+  SchemeConfig cfg = golden_config(31);
+  cfg.grouping_stage = "test_skip_cluster";
+  Simulation sim(cfg);
+  core::CollectingSink batch;
+  sim.run(3, batch);
+
+  // Two non-empty groups; batch numbers them by position (0, 1).
+  ASSERT_EQ(sim.group_count(), 2u);
+  for (std::size_t g = 0; g < 2; ++g) {
+    for (const std::size_t u : sim.group_members(g)) {
+      EXPECT_EQ(u % 2, g);
+    }
+  }
+  EXPECT_EQ(batch.reports.back().k, 3u);
+  ASSERT_FALSE(batch.groups.empty());
+  for (const core::GroupReport& group : batch.groups) {
+    EXPECT_LT(group.group_id, 2u);
+  }
+
+  // Serve numbers them by cluster index (0, 2).
+  core::ManualServeClock clock;
+  core::CollectingSink serve;
+  core::ServeLoop loop(pass_serve_config("test_skip_cluster"), clock, &serve);
+  loop.advance_to(10.0);
+  ASSERT_EQ(serve.groups.size(), 2u);
+  EXPECT_EQ(serve.groups[0].group_id, 0u);
+  EXPECT_EQ(serve.groups[1].group_id, 2u);
+  EXPECT_EQ(serve.groups[0].size, 6u);
+  EXPECT_EQ(serve.groups[1].size, 6u);
+  EXPECT_EQ(serve.reports.back().k, 3u);
 }
 
 // ----------------------------------------------------- per-stage timings

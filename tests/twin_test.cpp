@@ -1,7 +1,7 @@
-// Unit tests for dtmsv::twin — attribute-series semantics (ordering,
-// eviction, windows, staleness, truncation reporting), the columnar
-// ring-buffer store (SoA layout, slot recycling, incremental arena
-// extraction and its thread-count invariance), UDT feature extraction,
+// Unit tests for dtmsv::twin — the columnar ring-buffer store (series
+// semantics: ordering, eviction, half-open windows, staleness, truncation
+// reporting; SoA layout, slot recycling, incremental arena extraction and
+// its thread-count invariance), UDT feature extraction,
 // the twin store, and the per-attribute collector including loss/latency
 // failure injection.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "mobility/random_waypoint.hpp"
 #include "twin/collector.hpp"
 #include "twin/column_store.hpp"
-#include "twin/series.hpp"
 #include "twin/store.hpp"
 #include "twin/udt.hpp"
 #include "util/error.hpp"
@@ -26,99 +25,54 @@ using namespace dtmsv::twin;
 using dtmsv::util::PreconditionError;
 using dtmsv::util::Rng;
 
-// ---------------------------------------------------------- AttributeSeries
+// ------------------------------------------------------- columnar rings
 
-TEST(AttributeSeries, RecordAndLatest) {
-  AttributeSeries<double> series(8);
+ChannelObservation snr(double db) { return {db, 2.0, 0}; }
+
+TEST(TwinColumnStore, RingRecordsLatestAndOldest) {
+  ChannelColumn column(1, 8);
+  const ChannelSeries series(&column, 0);
   EXPECT_TRUE(series.empty());
-  series.record(1.0, 10.0);
-  series.record(2.0, 20.0);
+  EXPECT_THROW(series.latest(), PreconditionError);
+  EXPECT_THROW(series.oldest(), PreconditionError);
+  column.record(0, 1.0, snr(10.0));
+  column.record(0, 2.0, snr(20.0));
   EXPECT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series.latest().value, 20.0);
-  EXPECT_DOUBLE_EQ(series.oldest().value, 10.0);
+  EXPECT_DOUBLE_EQ(series.latest().value.snr_db, 20.0);
+  EXPECT_DOUBLE_EQ(series.oldest().value.snr_db, 10.0);
 }
 
-TEST(AttributeSeries, RejectsTimeTravel) {
-  AttributeSeries<int> series(4);
-  series.record(5.0, 1);
-  EXPECT_THROW(series.record(4.0, 2), PreconditionError);
-  series.record(5.0, 3);  // equal timestamps allowed
+TEST(TwinColumnStore, RingRejectsZeroCapacity) {
+  EXPECT_THROW(ChannelColumn(1, 0), PreconditionError);
 }
 
-TEST(AttributeSeries, EvictsOldestAtCapacity) {
-  AttributeSeries<int> series(3);
-  for (int i = 0; i < 5; ++i) {
-    series.record(static_cast<double>(i), i);
-  }
-  EXPECT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.oldest().value, 2);
-  EXPECT_EQ(series.latest().value, 4);
-}
-
-TEST(AttributeSeries, WindowQueryHalfOpen) {
-  AttributeSeries<int> series(16);
+TEST(TwinColumnStore, RingWindowIsHalfOpen) {
+  ChannelColumn column(1, 16);
   for (int i = 0; i < 10; ++i) {
-    series.record(static_cast<double>(i), i);
+    column.record(0, static_cast<double>(i), snr(i));
   }
-  const auto window = series.window(3.0, 7.0);
+  const auto window = ChannelSeries(&column, 0).window(3.0, 7.0);
   ASSERT_EQ(window.size(), 4u);  // t = 3,4,5,6
-  EXPECT_EQ(window.front().value, 3);
-  EXPECT_EQ(window.back().value, 6);
+  EXPECT_DOUBLE_EQ(window.front().value.snr_db, 3.0);
+  EXPECT_DOUBLE_EQ(window.back().value.snr_db, 6.0);
 }
 
-TEST(AttributeSeries, EmptyWindow) {
-  AttributeSeries<int> series(4);
-  series.record(10.0, 1);
+TEST(TwinColumnStore, RingWindowOutsideSamplesIsEmpty) {
+  ChannelColumn column(1, 4);
+  column.record(0, 10.0, snr(1.0));
+  const ChannelSeries series(&column, 0);
   EXPECT_TRUE(series.window(0.0, 5.0).empty());
   EXPECT_TRUE(series.window(11.0, 20.0).empty());
 }
 
-TEST(AttributeSeries, Staleness) {
-  AttributeSeries<int> series(4);
+TEST(TwinColumnStore, RingStaleness) {
+  ChannelColumn column(1, 4);
+  const ChannelSeries series(&column, 0);
   EXPECT_TRUE(std::isinf(series.staleness(0.0)));
-  series.record(10.0, 1);
+  column.record(0, 10.0, snr(1.0));
   EXPECT_DOUBLE_EQ(series.staleness(15.0), 5.0);
   EXPECT_DOUBLE_EQ(series.staleness(5.0), 0.0);  // clamped
 }
-
-TEST(AttributeSeries, EmptyAccessRejected) {
-  AttributeSeries<int> series(4);
-  EXPECT_THROW(series.latest(), PreconditionError);
-  EXPECT_THROW(series.oldest(), PreconditionError);
-}
-
-TEST(AttributeSeries, ZeroCapacityRejected) {
-  EXPECT_THROW(AttributeSeries<int>(0), PreconditionError);
-}
-
-TEST(AttributeSeries, WindowQueryReportsCapacityTruncation) {
-  AttributeSeries<int> series(3);
-  for (int i = 0; i < 6; ++i) {
-    series.record(static_cast<double>(i), i);  // retained: t=3,4,5; evicted: 0,1,2
-  }
-  // A query starting inside the evicted range must say so instead of
-  // silently returning the shorter retained window.
-  EXPECT_TRUE(series.truncated_before(0.0));
-  EXPECT_TRUE(series.truncated_before(2.0));   // t=2 was evicted
-  EXPECT_FALSE(series.truncated_before(2.5));  // everything >= 2.5 retained
-  const auto truncated = series.window_query(0.0, 10.0);
-  EXPECT_TRUE(truncated.truncated);
-  ASSERT_EQ(truncated.samples.size(), 3u);
-  EXPECT_EQ(truncated.samples.front().value, 3);
-  const auto covered = series.window_query(3.0, 10.0);
-  EXPECT_FALSE(covered.truncated);
-  EXPECT_EQ(covered.samples.size(), 3u);
-  // Before any eviction, nothing is truncated.
-  AttributeSeries<int> fresh(8);
-  fresh.record(1.0, 1);
-  EXPECT_FALSE(fresh.truncated_before(0.0));
-  EXPECT_FALSE(fresh.window_query(0.0, 2.0).truncated);
-  // clear() forgets the eviction history along with the samples.
-  series.clear();
-  EXPECT_FALSE(series.truncated_before(0.0));
-}
-
-// ------------------------------------------------------- columnar rings
 
 TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
   TwinColumnStore store(2, /*history_capacity=*/3);
@@ -130,8 +84,10 @@ TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
   EXPECT_EQ(series.capacity(), 3u);
   EXPECT_DOUBLE_EQ(series.oldest().time, 3.0);
   EXPECT_DOUBLE_EQ(series.latest().value.snr_db, 5.0);
-  // Same truncation contract as AttributeSeries.
-  EXPECT_TRUE(series.truncated_before(2.0));
+  // A query starting inside the evicted range must say so instead of
+  // silently returning the shorter retained window.
+  EXPECT_TRUE(series.truncated_before(2.0));   // t=2 was evicted
+  EXPECT_FALSE(series.truncated_before(2.5));  // everything >= 2.5 retained
   EXPECT_FALSE(series.truncated_before(3.0));
   const auto query = series.window_query(0.0, 10.0);
   EXPECT_TRUE(query.truncated);
@@ -141,6 +97,13 @@ TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
   // The neighbouring user's ring is untouched (fixed-stride slots).
   EXPECT_TRUE(store.channel(1).empty());
   EXPECT_FALSE(store.channel(1).truncated_before(0.0));
+  // Before any eviction a non-empty ring is not truncated either.
+  store.record_channel(1, 1.0, snr(1.0));
+  EXPECT_FALSE(store.channel(1).truncated_before(0.0));
+  EXPECT_FALSE(store.channel(1).window_query(0.0, 2.0).truncated);
+  // Recycling the slot forgets the eviction history with the samples.
+  store.reset_user(0);
+  EXPECT_FALSE(store.channel(0).truncated_before(0.0));
 }
 
 TEST(TwinColumnStore, RingRejectsTimeTravelPerUser) {
