@@ -190,9 +190,14 @@ void BM_CnnFitEpoch120Users(benchmark::State& state) {
   util::Rng rng(7);
   const auto data = random_window_data(120, comp.input_size(), rng);
   const twin::WindowBatch windows(data.data(), 120, comp.input_size());
+  benchmark::DoNotOptimize(comp.fit(windows));  // warm the layer workspaces
+  const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(comp.fit(windows));
   }
+  const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs/iter"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_CnnFitEpoch120Users);
 
@@ -408,11 +413,14 @@ BENCHMARK(BM_PredictGroupDemand);
 // ------------------------------------------------------- numeric kernels
 // Matmul / conv micro-kernels with a thread-scaling axis: range(0) is the
 // square matrix size, range(1) the pool thread count (restored to the
-// env/hardware default after each run).
+// env/hardware default after each run). Thread-scaling rows report the
+// pool size as a `pool_threads` counter, which tools/bench_diff.py uses to
+// skip rows that oversubscribe the host.
 
 void BM_MatmulTiled(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::set_thread_count(static_cast<std::size_t>(state.range(1)));
+  state.counters["pool_threads"] = static_cast<double>(state.range(1));
   util::Rng rng(21);
   const auto a = random_tensor({n, n}, rng);
   const auto b = random_tensor({n, n}, rng);
@@ -429,6 +437,7 @@ BENCHMARK(BM_MatmulTiled)->ArgsProduct({{128, 256}, {1, 2, 4}});
 void BM_MatmulBt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::set_thread_count(static_cast<std::size_t>(state.range(1)));
+  state.counters["pool_threads"] = static_cast<double>(state.range(1));
   util::Rng rng(22);
   const auto a = random_tensor({n, n}, rng);
   const auto b = random_tensor({n, n}, rng);
@@ -442,6 +451,7 @@ BENCHMARK(BM_MatmulBt)->ArgsProduct({{256}, {1, 2, 4}});
 void BM_MatmulAt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::set_thread_count(static_cast<std::size_t>(state.range(1)));
+  state.counters["pool_threads"] = static_cast<double>(state.range(1));
   util::Rng rng(23);
   const auto a = random_tensor({n, n}, rng);
   const auto b = random_tensor({n, n}, rng);
@@ -452,8 +462,75 @@ void BM_MatmulAt(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulAt)->ArgsProduct({{256}, {1, 2, 4}});
 
+// The products one CNN training step runs, at their real shapes. Each
+// row computes an m×n output over inner dimension k; range(3) picks the
+// operand layout: 0 = a·bᵀ (a m×k, b n×k), 1 = a·b (a m×k, b k×n),
+// 2 = aᵀ·b (a k×m, b k×n). Shapes: the first conv layer's forward
+// (512×55→16 at serve length 16, 1024×55→16 at paper length 32) with its
+// input-gradient and weight-gradient partners, the second conv layer
+// (256×48→32), the decoder's output layer (32×64→352), and the two heads
+// narrower than a vector pack: the encoder's 32×32→8 and the DDQN's
+// 120×64→11 on a 120-user batch.
+void BM_MatmulNarrow(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const auto op = state.range(3);
+  util::set_thread_count(1);
+  util::Rng rng(27);
+  const auto a = op == 2 ? random_tensor({k, m}, rng) : random_tensor({m, k}, rng);
+  const auto b = op == 0 ? random_tensor({n, k}, rng) : random_tensor({k, n}, rng);
+  for (auto _ : state) {
+    if (op == 0) {
+      benchmark::DoNotOptimize(nn::Tensor::matmul_bt(a, b));
+    } else if (op == 1) {
+      benchmark::DoNotOptimize(nn::Tensor::matmul(a, b));
+    } else {
+      benchmark::DoNotOptimize(nn::Tensor::matmul_at(a, b));
+    }
+  }
+  util::set_thread_count(0);
+  state.counters["GMAC/s"] = benchmark::Counter(
+      static_cast<double>(m) * static_cast<double>(k) * static_cast<double>(n) / 1e9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_MatmulNarrow)
+    ->Args({512, 55, 16, 0})
+    ->Args({512, 16, 55, 1})
+    ->Args({16, 512, 55, 2})
+    ->Args({1024, 55, 16, 0})
+    ->Args({1024, 16, 55, 1})
+    ->Args({16, 1024, 55, 2})
+    ->Args({256, 48, 32, 0})
+    ->Args({256, 32, 48, 1})
+    ->Args({32, 256, 48, 2})
+    ->Args({32, 64, 352, 0})
+    ->Args({32, 352, 64, 1})
+    ->Args({352, 32, 64, 2})
+    ->Args({32, 32, 8, 0})
+    ->Args({120, 64, 11, 0});
+
+// One training step of the compressor's first conv layer (11 channels ->
+// 16 filters of width 5, padding 2) on a 32-window minibatch: forward then
+// backward, at the serve (16) and paper (32) window lengths.
+void BM_Conv1DStep(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  util::set_thread_count(1);
+  util::Rng rng(28);
+  nn::Conv1D conv(11, 16, 5, rng, /*stride=*/1, /*padding=*/2);
+  const auto input = random_tensor({32, 11, len}, rng);
+  const auto upstream = random_tensor({32, 16, len}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(input));
+    benchmark::DoNotOptimize(conv.backward(upstream));
+  }
+  util::set_thread_count(0);
+}
+BENCHMARK(BM_Conv1DStep)->Arg(16)->Arg(32);
+
 void BM_Conv1DForward(benchmark::State& state) {
   util::set_thread_count(static_cast<std::size_t>(state.range(0)));
+  state.counters["pool_threads"] = static_cast<double>(state.range(0));
   util::Rng rng(24);
   // The compressor's first stage at paper scale: 120 users, 11 channels,
   // 32 timesteps, 16 filters of width 5.
@@ -468,6 +545,7 @@ BENCHMARK(BM_Conv1DForward)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_Conv1DBackward(benchmark::State& state) {
   util::set_thread_count(static_cast<std::size_t>(state.range(0)));
+  state.counters["pool_threads"] = static_cast<double>(state.range(0));
   util::Rng rng(25);
   nn::Conv1D conv(11, 16, 5, rng, /*stride=*/1, /*padding=*/2);
   const auto input = random_tensor({120, 11, 32}, rng);

@@ -49,9 +49,7 @@ nn::Tensor& FeatureCompressor::gather_batch(const twin::WindowBatch& windows,
   DTMSV_EXPECTS_MSG(windows.window_size() == input_size(),
                     "FeatureCompressor: window size mismatch");
   const std::size_t n = end - begin;
-  if (batch_.rank() != 3 || batch_.dim(0) != n) {
-    batch_ = nn::Tensor({n, config_.channels, config_.timesteps});
-  }
+  batch_.resize({n, config_.channels, config_.timesteps});
   auto data = batch_.data();
   if (indices == nullptr) {
     // Contiguous fleet slice (the embed path): WindowBatch rows are
@@ -97,33 +95,36 @@ float FeatureCompressor::reconstruction_loss(
 float FeatureCompressor::fit(const twin::WindowBatch& windows) {
   DTMSV_EXPECTS(!windows.empty());
   float last_epoch_loss = 0.0f;
-  std::vector<std::size_t> order(windows.size());
+  order_.resize(windows.size());
   for (std::size_t epoch = 0; epoch < config_.epochs_per_fit; ++epoch) {
     // Shuffled minibatch order each epoch.
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = i;
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      order_[i] = i;
     }
-    rng_.shuffle(order);
+    rng_.shuffle(order_);
 
     float epoch_loss = 0.0f;
     std::size_t batches = 0;
-    for (std::size_t start = 0; start < order.size(); start += config_.batch_size) {
-      const std::size_t stop = std::min(start + config_.batch_size, order.size());
-      const nn::Tensor& input = gather_batch(windows, order.data(), start, stop);
-      const nn::Tensor target = input.reshaped({stop - start, input_size()});
+    for (std::size_t start = 0; start < order_.size(); start += config_.batch_size) {
+      const std::size_t stop = std::min(start + config_.batch_size, order_.size());
+      nn::Tensor& input = gather_batch(windows, order_.data(), start, stop);
 
-      const nn::Tensor embedding = encoder_->forward(input);
-      const nn::Tensor reconstruction = decoder_->forward(embedding);
-      const auto loss = nn::mse_loss(reconstruction, target);
+      const nn::Tensor& embedding = encoder_->forward(input);
+      const nn::Tensor& reconstruction = decoder_->forward(embedding);
+      // The flattened windows are the reconstruction target: view the
+      // staged batch as [n, C*T] for the loss, then restore its shape
+      // before the encoder's backward pass.
+      input.resize({stop - start, input_size()});
+      nn::mse_loss(reconstruction, input, loss_);
+      input.resize({stop - start, config_.channels, config_.timesteps});
 
-      encoder_->zero_grad();
-      decoder_->zero_grad();
-      const nn::Tensor grad_embedding = decoder_->backward(loss.grad);
+      optimizer_->zero_grad();
+      const nn::Tensor& grad_embedding = decoder_->backward(loss_.grad);
       encoder_->backward(grad_embedding);
       optimizer_->clip_grad_norm(10.0);
       optimizer_->step();
 
-      epoch_loss += loss.value;
+      epoch_loss += loss_.value;
       ++batches;
     }
     last_epoch_loss = batches > 0 ? epoch_loss / static_cast<float>(batches) : 0.0f;
@@ -133,16 +134,21 @@ float FeatureCompressor::fit(const twin::WindowBatch& windows) {
 
 clustering::Points FeatureCompressor::embed(const twin::WindowBatch& windows) {
   DTMSV_EXPECTS(!windows.empty());
-  const nn::Tensor& input = gather_batch(windows, nullptr, 0, windows.size());
-  const nn::Tensor embedding = encoder_->forward(input);
-
   // Write straight into the flat point matrix: one allocation for the
-  // whole embedding cloud instead of one per user.
+  // whole embedding cloud instead of one per user. The encoder runs on
+  // training-sized chunks, so every layer workspace stays at minibatch
+  // shape; rows are independent, so chunking changes no value.
   clustering::Points points(windows.size(), config_.embedding_dim);
   double* rows = points.data();
-  const float* emb = embedding.data().data();
-  for (std::size_t i = 0; i < windows.size() * config_.embedding_dim; ++i) {
-    rows[i] = static_cast<double>(emb[i]);
+  for (std::size_t start = 0; start < windows.size(); start += config_.batch_size) {
+    const std::size_t stop = std::min(start + config_.batch_size, windows.size());
+    const nn::Tensor& embedding =
+        encoder_->forward(gather_batch(windows, nullptr, start, stop));
+    const float* emb = embedding.data().data();
+    double* out = rows + start * config_.embedding_dim;
+    for (std::size_t i = 0; i < (stop - start) * config_.embedding_dim; ++i) {
+      out[i] = static_cast<double>(emb[i]);
+    }
   }
   return points;
 }
@@ -151,7 +157,7 @@ float FeatureCompressor::reconstruction_loss(const twin::WindowBatch& windows) {
   DTMSV_EXPECTS(!windows.empty());
   const nn::Tensor& input = gather_batch(windows, nullptr, 0, windows.size());
   const nn::Tensor target = input.reshaped({windows.size(), input_size()});
-  const nn::Tensor reconstruction = decoder_->forward(encoder_->forward(input));
+  const nn::Tensor& reconstruction = decoder_->forward(encoder_->forward(input));
   return nn::mse_loss(reconstruction, target).value;
 }
 

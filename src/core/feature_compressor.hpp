@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "clustering/kmeans.hpp"
+#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 #include "twin/arena.hpp"
@@ -77,6 +78,8 @@ class FeatureCompressor {
   std::unique_ptr<nn::Sequential> decoder_;  // [N,emb] -> [N,C*T]
   std::unique_ptr<nn::Adam> optimizer_;
   nn::Tensor batch_;  // reused [N,C,T] staging buffer for fit/embed
+  nn::LossResult loss_;  // reused reconstruction loss and its gradient
+  std::vector<std::size_t> order_;  // fit's shuffled window order
   std::vector<float> staging_;  // legacy-overload flattening buffer
 };
 

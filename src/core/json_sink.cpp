@@ -111,6 +111,9 @@ void JsonReportSink::on_interval(const EpochReport& r) {
   field(line, "unicast_radio_hz_total", r.unicast_radio_hz_total);
   field(line, "radio_error", r.radio_error);
   field(line, "compute_error", r.compute_error);
+  if (r.events_rejected.has_value()) {
+    field(line, "events_rejected", std::to_string(*r.events_rejected));
+  }
   out_ << line << "}\n";
   ++interval_records_;
 }

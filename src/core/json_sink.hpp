@@ -17,7 +17,8 @@
 //    "silhouette":..,"ddqn_epsilon":..,"reconstruction_loss":..,
 //    "predicted_radio_hz_total":..,"actual_radio_hz_total":..,
 //    "predicted_compute_total":..,"actual_compute_total":..,
-//    "unicast_radio_hz_total":..,"radio_error":..,"compute_error":..}
+//    "unicast_radio_hz_total":..,"radio_error":..,"compute_error":..
+//    [,"events_rejected":N]}                   (the last field in serve mode)
 //
 //   {"type":"handover","interval":I,"shard_a":A,"shard_b":B,
 //    "slot_a":SA,"slot_b":SB}

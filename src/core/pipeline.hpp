@@ -32,6 +32,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,9 @@ struct EpochReport {
   /// |pred − actual| / actual on the radio total (0 when undefined).
   double radio_error = 0.0;
   double compute_error = 0.0;
+  /// Serve mode only: reports ServeLoop::offer rejected since the previous
+  /// interval (out-of-range user, late, or non-finite). Unset in batch runs.
+  std::optional<std::uint64_t> events_rejected;
 };
 
 // ---------------------------------------------------------- streaming sinks

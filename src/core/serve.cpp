@@ -125,9 +125,36 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
   cluster_rng_ = rng_.fork(9);
 }
 
+namespace {
+
+/// True when every number a report carries is finite.
+bool finite_report(const TwinEvent& event) {
+  if (!std::isfinite(event.time)) {
+    return false;
+  }
+  switch (event.kind) {
+    case TwinEvent::Kind::kChannel:
+      return std::isfinite(event.channel.snr_db) &&
+             std::isfinite(event.channel.efficiency_bps_hz);
+    case TwinEvent::Kind::kLocation:
+      return std::isfinite(event.position.x) && std::isfinite(event.position.y);
+    case TwinEvent::Kind::kWatch:
+      return std::isfinite(event.watch.duration_s) &&
+             std::isfinite(event.watch.watch_seconds) &&
+             std::isfinite(event.watch.watch_fraction);
+  }
+  return false;
+}
+
+}  // namespace
+
 void ServeLoop::offer(const TwinEvent& event) {
-  DTMSV_EXPECTS_MSG(event.user < config_.scheme.user_count,
-                    "ServeLoop: event user id out of range");
+  if (event.user >= config_.scheme.user_count || !finite_report(event) ||
+      event.time < latest_admitted_) {
+    ++stats_.events_rejected;
+    return;
+  }
+  latest_admitted_ = event.time;
   queue_.push(event);
 }
 
@@ -241,6 +268,8 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   report.silhouette = pass.silhouette;
   report.ddqn_epsilon = pass.epsilon;
   report.reconstruction_loss = pass.reconstruction_loss;
+  report.events_rejected = stats_.events_rejected - reported_rejects_;
+  reported_rejects_ = stats_.events_rejected;
   for (const GroupPrediction& group : pass.groups) {
     GroupReport group_report;
     group_report.group_id = group.cluster;

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -170,6 +171,9 @@ struct ServeStats {
   std::size_t deadline_misses = 0;
   std::uint64_t events_ingested = 0;  // drained into the twin columns
   std::uint64_t events_dropped = 0;   // shed by the queue
+  /// Refused by offer(): user id out of range, timestamp older than the
+  /// newest admitted report (late), or a non-finite timestamp or payload.
+  std::uint64_t events_rejected = 0;
   std::size_t steps_down = 0;       // ladder transitions away from rung 0
   std::size_t steps_up = 0;         // ladder transitions toward rung 0
   std::vector<double> latencies_ms;  // one entry per fired prediction
@@ -206,8 +210,12 @@ class ServeLoop {
   util::IntervalId next_interval() const { return interval_; }
 
   /// Admission control: enqueues one twin report (bounded queue,
-  /// shed-oldest under overload). Events must carry nondecreasing
-  /// timestamps and a user id < scheme.user_count.
+  /// shed-oldest under overload). A report with a user id >=
+  /// scheme.user_count, a timestamp older than the newest admitted report
+  /// (the queue and the twin columns only append in time order), or a
+  /// non-finite timestamp or payload value is rejected: counted in
+  /// stats().events_rejected and dropped, so bad input cannot stop the
+  /// loop or reach the pipeline.
   void offer(const TwinEvent& event);
 
   /// Advances event time to `t` (monotonic), draining admitted events into
@@ -247,6 +255,9 @@ class ServeLoop {
   util::SimTime now_ = 0.0;
   util::IntervalId interval_ = 0;
   std::uint64_t reported_drops_ = 0;
+  std::uint64_t reported_rejects_ = 0;
+  /// Timestamp of the newest admitted report; older offers are late.
+  util::SimTime latest_admitted_ = -std::numeric_limits<double>::infinity();
   ServeStats stats_;
 };
 

@@ -4,73 +4,75 @@
 
 namespace dtmsv::nn {
 
-Tensor ReLU::forward(const Tensor& input) {
-  mask_ = Tensor(input.shape());
-  Tensor out = input;
-  auto out_data = out.data();
-  auto mask_data = mask_.data();
-  for (std::size_t i = 0; i < out_data.size(); ++i) {
-    if (out_data[i] > 0.0f) {
-      mask_data[i] = 1.0f;
-    } else {
-      out_data[i] = 0.0f;
-    }
+const Tensor& ReLU::forward(const Tensor& input) {
+  output_.resize(input.shape());
+  const auto in = input.data();
+  auto out = output_.data();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    out[i] = in[i] > 0.0f ? in[i] : 0.0f;
   }
-  return out;
+  return output_;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
-  DTMSV_EXPECTS_MSG(!mask_.empty(), "ReLU: backward before forward");
-  DTMSV_EXPECTS(same_shape(grad_output, mask_));
-  Tensor grad = grad_output;
-  auto g = grad.data();
-  auto m = mask_.data();
+const Tensor& ReLU::backward(const Tensor& grad_output) {
+  DTMSV_EXPECTS_MSG(!output_.empty(), "ReLU: backward before forward");
+  DTMSV_EXPECTS(same_shape(grad_output, output_));
+  grad_input_.resize(grad_output.shape());
+  const auto g = grad_output.data();
+  const auto y = output_.data();
+  auto gi = grad_input_.data();
+  // Multiplies by the 0/1 mask rather than selecting, so a gradient
+  // through an inactive unit is g·0 (a signed zero, or NaN for NaN g).
   for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] *= m[i];
+    gi[i] = g[i] * (y[i] > 0.0f ? 1.0f : 0.0f);
   }
-  return grad;
+  return grad_input_;
 }
 
-Tensor Tanh::forward(const Tensor& input) {
-  Tensor out = input;
-  for (float& v : out.data()) {
-    v = std::tanh(v);
+const Tensor& Tanh::forward(const Tensor& input) {
+  output_.resize(input.shape());
+  const auto in = input.data();
+  auto out = output_.data();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    out[i] = std::tanh(in[i]);
   }
-  output_ = out;
-  return out;
+  return output_;
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
+const Tensor& Tanh::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS_MSG(!output_.empty(), "Tanh: backward before forward");
   DTMSV_EXPECTS(same_shape(grad_output, output_));
-  Tensor grad = grad_output;
-  auto g = grad.data();
-  auto y = output_.data();
+  grad_input_.resize(grad_output.shape());
+  const auto g = grad_output.data();
+  const auto y = output_.data();
+  auto gi = grad_input_.data();
   for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] *= 1.0f - y[i] * y[i];
+    gi[i] = g[i] * (1.0f - y[i] * y[i]);
   }
-  return grad;
+  return grad_input_;
 }
 
-Tensor Sigmoid::forward(const Tensor& input) {
-  Tensor out = input;
-  for (float& v : out.data()) {
-    v = 1.0f / (1.0f + std::exp(-v));
+const Tensor& Sigmoid::forward(const Tensor& input) {
+  output_.resize(input.shape());
+  const auto in = input.data();
+  auto out = output_.data();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    out[i] = 1.0f / (1.0f + std::exp(-in[i]));
   }
-  output_ = out;
-  return out;
+  return output_;
 }
 
-Tensor Sigmoid::backward(const Tensor& grad_output) {
+const Tensor& Sigmoid::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS_MSG(!output_.empty(), "Sigmoid: backward before forward");
   DTMSV_EXPECTS(same_shape(grad_output, output_));
-  Tensor grad = grad_output;
-  auto g = grad.data();
-  auto y = output_.data();
+  grad_input_.resize(grad_output.shape());
+  const auto g = grad_output.data();
+  const auto y = output_.data();
+  auto gi = grad_input_.data();
   for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] *= y[i] * (1.0f - y[i]);
+    gi[i] = g[i] * (y[i] * (1.0f - y[i]));
   }
-  return grad;
+  return grad_input_;
 }
 
 }  // namespace dtmsv::nn

@@ -1,8 +1,11 @@
 #include "nn/conv1d.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
+#include "util/parallel.hpp"
 #include "util/simd.hpp"
 
 namespace dtmsv::nn {
@@ -11,19 +14,12 @@ namespace {
 
 using Backend = util::simd::default_backend;
 
-/// Valid (non-padding) kernel-tap range [k_lo, k_hi) for an im2col window
-/// starting at `pos0` in padded coordinates. Taps outside the range fall
-/// in the zero padding; taps inside map to input position
-/// pos0 + k - padding. Hoisting the bounds out of the tap loop turns the
-/// per-element padding branch into straight-line copies the SIMD helpers
-/// can run wide.
-inline void tap_bounds(std::size_t pos0, std::size_t padding, std::size_t len,
-                       std::size_t kernel, std::size_t& k_lo,
-                       std::size_t& k_hi) {
-  k_lo = pos0 < padding ? std::min(padding - pos0, kernel) : 0;
-  const std::size_t limit = padding + len;
-  k_hi = pos0 >= limit ? 0 : std::min(kernel, limit - pos0);
-  k_hi = std::max(k_hi, k_lo);
+// Batch elements per parallel chunk: enough multiply-adds that dispatch
+// overhead stays small (the same threshold the Tensor matmuls use).
+constexpr std::size_t kParallelFlops = 1u << 17;
+
+std::size_t item_grain(std::size_t per_item_flops) {
+  return std::max<std::size_t>(1, kParallelFlops / std::max<std::size_t>(1, per_item_flops));
 }
 
 }  // namespace
@@ -49,7 +45,7 @@ std::size_t Conv1D::output_length(std::size_t input_length) const {
   return (padded - kernel_) / stride_ + 1;
 }
 
-Tensor Conv1D::forward(const Tensor& input) {
+const Tensor& Conv1D::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(input.rank() == 3 && input.dim(1) == in_channels_,
                     "Conv1D: input must be [N, in_channels, L]");
   input_shape_ = input.shape();
@@ -57,113 +53,137 @@ Tensor Conv1D::forward(const Tensor& input) {
   const std::size_t len = input.dim(2);
   const std::size_t out_len = output_length(len);
   const std::size_t patch = in_channels_ * kernel_;
+  cols_.resize({n, patch, out_len});
+  output_.resize({n, out_channels_, out_len});
 
-  // im2col: patches_[b*out_len + t] holds the zero-padded receptive field
-  // of output position (b, t), channel-major to match the weight layout.
-  patches_ = Tensor({n * out_len, patch});
   const float* in = input.data().data();
-  float* rows = patches_.data().data();
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t t = 0; t < out_len; ++t) {
-      float* prow = rows + (b * out_len + t) * patch;
-      const std::size_t pos0 = t * stride_;  // window start in padded coords
-      std::size_t k_lo = 0, k_hi = 0;
-      tap_bounds(pos0, padding_, len, kernel_, k_lo, k_hi);
-      for (std::size_t c = 0; c < in_channels_; ++c) {
-        const float* irow = in + (b * in_channels_ + c) * len;
-        float* pseg = prow + c * kernel_;
-        std::fill(pseg, pseg + k_lo, 0.0f);
-        if (k_hi > k_lo) {
-          util::simd::copy_row<Backend>(pseg + k_lo,
-                                        irow + (pos0 + k_lo - padding_),
-                                        k_hi - k_lo);
-        }
-        std::fill(pseg + k_hi, pseg + kernel_, 0.0f);
-      }
-    }
-  }
-
-  // [N*L_out, patch] · [F, patch]ᵀ -> [N*L_out, F], then fold the F axis
-  // back inside while adding the bias.
-  const Tensor out2d = Tensor::matmul_bt(patches_, w_.reshaped({out_channels_, patch}));
-  Tensor out({n, out_channels_, out_len});
-  const float* o2 = out2d.data().data();
-  float* o3 = out.data().data();
+  const float* w = w_.data().data();
   const float* bias = b_.data().data();
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t f = 0; f < out_channels_; ++f) {
-      float* orow = o3 + (b * out_channels_ + f) * out_len;
-      const float bf = bias[f];
-      for (std::size_t t = 0; t < out_len; ++t) {
-        orow[t] = o2[(b * out_len + t) * out_channels_ + f] + bf;
+  float* cols = cols_.data().data();
+  float* out = output_.data().data();
+  util::parallel_for(0, n, item_grain(out_channels_ * patch * out_len),
+                     [&](std::size_t b0, std::size_t b1) {
+    // One zero-padded input row at a time (the padding stays zero), so
+    // every im2col row is a plain shifted copy of it (a strided gather when
+    // stride > 1): row (c, k) holds padded[t*stride + k] for every t.
+    thread_local std::vector<float> padded;
+    padded.assign(len + 2 * padding_, 0.0f);
+    for (std::size_t b = b0; b < b1; ++b) {
+      float* cb = cols + b * patch * out_len;
+      for (std::size_t c = 0; c < in_channels_; ++c) {
+        util::simd::copy_row<Backend>(padded.data() + padding_,
+                                      in + (b * in_channels_ + c) * len, len);
+        for (std::size_t k = 0; k < kernel_; ++k) {
+          float* row = cb + (c * kernel_ + k) * out_len;
+          const float* src = padded.data() + k;
+          if (stride_ == 1) {
+            util::simd::copy_row<Backend>(row, src, out_len);
+          } else {
+            for (std::size_t t = 0; t < out_len; ++t) {
+              row[t] = src[t * stride_];
+            }
+          }
+        }
+      }
+      // [F, patch] · [patch, L_out] straight into this element's
+      // [F, L_out] slice, then the bias.
+      float* ob = out + b * out_channels_ * out_len;
+      std::fill(ob, ob + out_channels_ * out_len, 0.0f);
+      kernels::matmul_rows<Backend>(w, cb, ob, 0, out_channels_, patch, out_len);
+      for (std::size_t f = 0; f < out_channels_; ++f) {
+        float* orow = ob + f * out_len;
+        const float bf = bias[f];
+        for (std::size_t t = 0; t < out_len; ++t) {
+          orow[t] += bf;
+        }
       }
     }
-  }
-  return out;
+  });
+  return output_;
 }
 
-Tensor Conv1D::backward(const Tensor& grad_output) {
-  DTMSV_EXPECTS_MSG(!patches_.empty(), "Conv1D: backward before forward");
+const Tensor& Conv1D::backward(const Tensor& grad_output) {
+  DTMSV_EXPECTS_MSG(!input_shape_.empty(), "Conv1D: backward before forward");
   const std::size_t n = input_shape_[0];
   const std::size_t len = input_shape_[2];
   const std::size_t out_len = output_length(len);
   DTMSV_EXPECTS(grad_output.rank() == 3 && grad_output.dim(0) == n &&
                 grad_output.dim(1) == out_channels_ && grad_output.dim(2) == out_len);
   const std::size_t patch = in_channels_ * kernel_;
+  const float* g = grad_output.data().data();
+  const float* w = w_.data().data();
+  const float* cols = cols_.data().data();
 
-  // Transpose grad to [N*L_out, F] (the im2col row layout) and reduce the
-  // bias gradient on the way through.
-  Tensor g2d({n * out_len, out_channels_});
-  {
-    const float* g3 = grad_output.data().data();
-    float* g2 = g2d.data().data();
-    float* bg = b_grad_.data().data();
-    for (std::size_t b = 0; b < n; ++b) {
-      for (std::size_t f = 0; f < out_channels_; ++f) {
-        const float* grow = g3 + (b * out_channels_ + f) * out_len;
-        float acc = 0.0f;
-        for (std::size_t t = 0; t < out_len; ++t) {
-          g2[(b * out_len + t) * out_channels_ + f] = grow[t];
-          acc += grow[t];
-        }
-        bg[f] += acc;
-      }
-    }
-  }
-
-  // dL/dW = g2dᵀ · patches ; dL/dpatches = g2d · W.
-  const Tensor wg2d = Tensor::matmul_at(g2d, patches_);  // [F, patch]
-  {
-    const float* src = wg2d.data().data();
-    float* dst = w_grad_.data().data();
-    for (std::size_t i = 0; i < w_grad_.size(); ++i) {
-      dst[i] += src[i];
-    }
-  }
-  const Tensor grad_patches = Tensor::matmul(g2d, w_.reshaped({out_channels_, patch}));
-
-  // col2im: scatter-add patch gradients back to input positions.
-  Tensor grad_input(input_shape_);
-  const float* gp = grad_patches.data().data();
-  float* gi = grad_input.data().data();
+  // Bias and weight gradients, accumulated over batch elements in order.
+  // Each element's [F, L_out] gradient is transposed into a small tile
+  // (reducing the bias on the way), so that dL/dWᵀ += cols_b · tile runs
+  // on the vector kernel with filters as lanes: every weight gradient is
+  // one ascending-(b, t) chain.
+  grad_t_.resize({out_len, out_channels_});
+  w_grad_t_.resize({patch, out_channels_});
+  w_grad_t_.zero();
+  float* gt = grad_t_.data().data();
+  float* wgt = w_grad_t_.data().data();
+  float* bg = b_grad_.data().data();
   for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t t = 0; t < out_len; ++t) {
-      const float* prow = gp + (b * out_len + t) * patch;
-      const std::size_t pos0 = t * stride_;
-      std::size_t k_lo = 0, k_hi = 0;
-      tap_bounds(pos0, padding_, len, kernel_, k_lo, k_hi);
-      if (k_hi == k_lo) {
-        continue;
+    const float* gb = g + b * out_channels_ * out_len;
+    for (std::size_t f = 0; f < out_channels_; ++f) {
+      const float* grow = gb + f * out_len;
+      float acc = 0.0f;
+      for (std::size_t t = 0; t < out_len; ++t) {
+        gt[t * out_channels_ + f] = grow[t];
+        acc += grow[t];
       }
-      for (std::size_t c = 0; c < in_channels_; ++c) {
-        float* irow = gi + (b * in_channels_ + c) * len;
-        const float* pseg = prow + c * kernel_;
-        util::simd::add_rows<Backend>(irow + (pos0 + k_lo - padding_),
-                                      pseg + k_lo, k_hi - k_lo);
-      }
+      bg[f] += acc;
+    }
+    kernels::matmul_rows<Backend>(cols + b * patch * out_len, gt, wgt, 0, patch,
+                                  out_len, out_channels_);
+  }
+  float* wg = w_grad_.data().data();
+  for (std::size_t f = 0; f < out_channels_; ++f) {
+    for (std::size_t kk = 0; kk < patch; ++kk) {
+      wg[f * patch + kk] += wgt[kk * out_channels_ + f];
     }
   }
-  return grad_input;
+
+  // Input gradient: dcols_b = Wᵀ · g_b, then col2im adds each (c, k) row
+  // back at its shift into a zero-padded row and keeps the unpadded part.
+  // Taps run in descending k, so every input position receives its
+  // contributions in ascending output position t.
+  grad_input_.resize(input_shape_);
+  float* gi = grad_input_.data().data();
+  util::parallel_for(0, n, item_grain(out_channels_ * patch * out_len),
+                     [&](std::size_t b0, std::size_t b1) {
+    // One element's dL/dcols and one padded row at a time, in scratch the
+    // running thread keeps.
+    thread_local std::vector<float> dcols;
+    thread_local std::vector<float> padded;
+    dcols.resize(patch * out_len);
+    padded.resize(len + 2 * padding_);
+    float* db = dcols.data();
+    for (std::size_t b = b0; b < b1; ++b) {
+      std::fill(db, db + patch * out_len, 0.0f);
+      kernels::matmul_at_rows<Backend>(w, g + b * out_channels_ * out_len, db, 0,
+                                       patch, out_channels_, patch, out_len);
+      for (std::size_t c = 0; c < in_channels_; ++c) {
+        std::fill(padded.begin(), padded.end(), 0.0f);
+        for (std::size_t k = kernel_; k-- > 0;) {
+          const float* row = db + (c * kernel_ + k) * out_len;
+          float* dst = padded.data() + k;
+          if (stride_ == 1) {
+            util::simd::add_rows<Backend>(dst, row, out_len);
+          } else {
+            for (std::size_t t = 0; t < out_len; ++t) {
+              dst[t * stride_] += row[t];
+            }
+          }
+        }
+        util::simd::copy_row<Backend>(gi + (b * in_channels_ + c) * len,
+                                      padded.data() + padding_, len);
+      }
+    }
+  });
+  return grad_input_;
 }
 
 std::vector<ParamRef> Conv1D::parameters() {

@@ -15,8 +15,8 @@ class Conv1D final : public Layer {
   Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          util::Rng& rng, std::size_t stride = 1, std::size_t padding = 0);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Conv1D"; }
 
@@ -38,15 +38,21 @@ class Conv1D final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t padding_;
-  Tensor w_;        // [out_ch, in_ch, kernel]
+  Tensor w_;        // [out_ch, in_ch, kernel], read as [out_ch, in_ch*kernel]
   Tensor b_;        // [out_ch]
   Tensor w_grad_;
   Tensor b_grad_;
-  // im2col scratch cached between forward and backward: each output
-  // position becomes one row of [N*L_out, in_ch*kernel], so both passes
-  // reduce to the tiled matmul kernels.
-  Tensor patches_;
   Shape input_shape_;
+  // Layer-owned workspaces, reused across same-shaped minibatches.
+  // cols_ is the channel-major im2col, cached between forward and
+  // backward: cols_[b][c*kernel + k][t] = x[b][c][t*stride + k - padding]
+  // (zero in the padding), so each batch element's forward is one
+  // W · cols_b product written straight into [N, out_ch, L_out].
+  Tensor cols_;        // [N, in_ch*kernel, L_out]
+  Tensor output_;      // [N, out_ch, L_out]
+  Tensor grad_input_;  // [N, in_ch, L]
+  Tensor grad_t_;      // [L_out, out_ch] one batch element's gradient, transposed
+  Tensor w_grad_t_;    // [in_ch*kernel, out_ch] this backward's dL/dW, transposed
 };
 
 }  // namespace dtmsv::nn

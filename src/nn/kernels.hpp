@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
 
 #include "util/simd.hpp"
 
@@ -29,57 +30,148 @@ constexpr std::size_t kTileI = 32;
 constexpr std::size_t kTileJ = 128;
 constexpr std::size_t kTileK = 64;
 
-/// Register-blocked accumulate: orow[jb..je) += Σ_kk a(kk) · b[kk][jb..je)
-/// for kk in [kb, ke), where a(kk) = abase[kk * astride]. Output columns
-/// live in vector registers across the whole kk loop (4-vector blocks, then
-/// single vectors, then a scalar tail), so the serial dependency per column
-/// is the FMA chain itself rather than a store-to-load round trip. Every
-/// column still accumulates in ascending kk order via util::simd's madd —
-/// the same chain whatever the lane width, so blocking preserves
-/// bit-identity with the scalar backend.
+namespace detail {
+
+/// Output rows the micro-kernel accumulates at once. Every row keeps its
+/// own accumulators, and all rows share each load of b, so a narrow
+/// product runs kRows independent FMA chains per column pack instead of
+/// one serial chain.
+constexpr std::size_t kRows = 8;
+
+/// Vector packs per row in the widest column block.
 template <typename Backend>
-inline void accum_cols(const float* abase, std::size_t astride, const float* b,
-                       float* orow, std::size_t kb, std::size_t ke,
-                       std::size_t jb, std::size_t je, std::size_t n) {
-  using P = util::simd::pack<float, Backend>;
-  std::size_t j = jb;
-  if constexpr (P::width > 1) {
-    constexpr std::size_t W = P::width;
-    for (; j + 4 * W <= je; j += 4 * W) {
-      P acc0 = P::load(orow + j);
-      P acc1 = P::load(orow + j + W);
-      P acc2 = P::load(orow + j + 2 * W);
-      P acc3 = P::load(orow + j + 3 * W);
-      for (std::size_t kk = kb; kk < ke; ++kk) {
-        const P avv = P::broadcast(abase[kk * astride]);
-        const float* brow = b + kk * n;
-        acc0 = P::madd(avv, P::load(brow + j), acc0);
-        acc1 = P::madd(avv, P::load(brow + j + W), acc1);
-        acc2 = P::madd(avv, P::load(brow + j + 2 * W), acc2);
-        acc3 = P::madd(avv, P::load(brow + j + 3 * W), acc3);
-      }
-      acc0.store(orow + j);
-      acc1.store(orow + j + W);
-      acc2.store(orow + j + 2 * W);
-      acc3.store(orow + j + 3 * W);
-    }
-    for (; j + W <= je; j += W) {
-      P acc = P::load(orow + j);
-      for (std::size_t kk = kb; kk < ke; ++kk) {
-        acc = P::madd(P::broadcast(abase[kk * astride]), P::load(b + kk * n + j),
-                      acc);
-      }
-      acc.store(orow + j);
+constexpr std::size_t packs_per_block() {
+  return util::simd::pack<float, Backend>::width >= 16 ? 4 : 2;
+}
+
+/// Accumulators one tile may hold: enough independent chains to cover FMA
+/// latency without spilling the register file (32 vector registers at
+/// AVX-512 width, 16 below it). Wider tiles are split into row halves.
+template <typename P>
+constexpr std::size_t max_accumulators() {
+  return P::width >= 16 ? 16 : 8;
+}
+
+/// R rows × C packs of output starting at column j:
+///   out_r[j..j+C·W) += Σ_kk a_r(kk) · b[kk][j..j+C·W)  for kk in [kb, ke),
+/// with a_r(kk) = a[r·row_step + kk·k_step] and out_r = out + r·n. The
+/// accumulators live in registers across the whole kk loop and each
+/// element's chain runs in ascending kk through the backend's madd.
+/// Always inlined: as an out-of-line call the accumulator array makes a
+/// stack round trip around every tile, which doubled the time of the
+/// narrow conv products. Each row's `a` pointer advances on its own, so
+/// every broadcast reads a plain base address.
+template <typename P, std::size_t R, std::size_t C>
+[[gnu::always_inline]] inline void tile(
+    const float* a, std::size_t row_step, std::size_t k_step, const float* b,
+    float* out, std::size_t n, std::size_t kb, std::size_t ke, std::size_t j) {
+  constexpr std::size_t W = P::width;
+  P acc[R][C];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < C; ++c) {
+      acc[r][c] = P::load(out + r * n + j + c * W);
     }
   }
-  for (; j < je; ++j) {
-    float acc = orow[j];
-    for (std::size_t kk = kb; kk < ke; ++kk) {
-      acc = util::simd::madd(abase[kk * astride], b[kk * n + j], acc);
+  const float* ar[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    ar[r] = a + r * row_step + kb * k_step;
+  }
+  const float* brow = b + kb * n + j;
+  for (std::size_t kk = kb; kk < ke; ++kk) {
+    P bv[C];
+    for (std::size_t c = 0; c < C; ++c) {
+      bv[c] = P::load(brow + c * W);
     }
-    orow[j] = acc;
+    brow += n;
+    for (std::size_t r = 0; r < R; ++r) {
+      const P av = P::broadcast(*ar[r]);
+      ar[r] += k_step;
+      for (std::size_t c = 0; c < C; ++c) {
+        acc[r][c] = P::madd(av, bv[c], acc[r][c]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < C; ++c) {
+      acc[r][c].store(out + r * n + j + c * W);
+    }
   }
 }
+
+/// R rows × C packs of output starting at column j, in one tile or in
+/// row halves when R·C accumulators would not fit in registers.
+template <typename P, std::size_t R, std::size_t C>
+[[gnu::always_inline]] inline void tile_rows(
+    const float* a, std::size_t row_step, std::size_t k_step, const float* b,
+    float* out, std::size_t n, std::size_t kb, std::size_t ke, std::size_t j) {
+  if constexpr (R > 1 && R * C > max_accumulators<P>()) {
+    constexpr std::size_t H = R / 2;
+    tile_rows<P, H, C>(a, row_step, k_step, b, out, n, kb, ke, j);
+    tile_rows<P, R - H, C>(a + H * row_step, row_step, k_step, b, out + H * n,
+                           n, kb, ke, j);
+  } else {
+    tile<P, R, C>(a, row_step, k_step, b, out, n, kb, ke, j);
+  }
+}
+
+/// Columns [j, je) of R output rows: multi-pack blocks, then single packs,
+/// then the tail on the next-narrower backend (finally scalar), each
+/// blocked over the same R rows.
+template <typename Backend, std::size_t R>
+inline void sweep(const float* a, std::size_t row_step, std::size_t k_step,
+                  const float* b, float* out, std::size_t n, std::size_t kb,
+                  std::size_t ke, std::size_t j, std::size_t je) {
+  using P = util::simd::pack<float, Backend>;
+  constexpr std::size_t W = P::width;
+  constexpr std::size_t C = packs_per_block<Backend>();
+  for (; j + C * W <= je; j += C * W) {
+    tile_rows<P, R, C>(a, row_step, k_step, b, out, n, kb, ke, j);
+  }
+  for (; j + W <= je; j += W) {
+    tile_rows<P, R, 1>(a, row_step, k_step, b, out, n, kb, ke, j);
+  }
+  if constexpr (W > 1) {
+    using Narrower = typename util::simd::narrower<Backend>::type;
+    if constexpr (std::is_void_v<Narrower>) {
+      sweep<util::simd::scalar_backend, R>(a, row_step, k_step, b, out, n, kb,
+                                           ke, j, je);
+    } else {
+      sweep<Narrower, R>(a, row_step, k_step, b, out, n, kb, ke, j, je);
+    }
+  }
+}
+
+/// Rows [ib, ie) × columns [jb, je), kk in [kb, ke): row i's a(kk) is
+/// a[i·row_step + kk·k_step]. Full kRows blocks, then at most one block
+/// each of 4, 2 and 1 rows.
+template <typename Backend>
+inline void accum_rows(const float* a, std::size_t row_step,
+                       std::size_t k_step, const float* b, float* out,
+                       std::size_t n, std::size_t ib, std::size_t ie,
+                       std::size_t kb, std::size_t ke, std::size_t jb,
+                       std::size_t je) {
+  std::size_t i = ib;
+  for (; i + kRows <= ie; i += kRows) {
+    sweep<Backend, kRows>(a + i * row_step, row_step, k_step, b, out + i * n,
+                          n, kb, ke, jb, je);
+  }
+  if (i + 4 <= ie) {
+    sweep<Backend, 4>(a + i * row_step, row_step, k_step, b, out + i * n, n, kb,
+                      ke, jb, je);
+    i += 4;
+  }
+  if (i + 2 <= ie) {
+    sweep<Backend, 2>(a + i * row_step, row_step, k_step, b, out + i * n, n, kb,
+                      ke, jb, je);
+    i += 2;
+  }
+  if (i < ie) {
+    sweep<Backend, 1>(a + i * row_step, row_step, k_step, b, out + i * n, n, kb,
+                      ke, jb, je);
+  }
+}
+
+}  // namespace detail
 
 /// out[i0..i1) += a · b for row-major a (m×k), b (k×n).
 template <typename Backend>
@@ -91,9 +183,7 @@ void matmul_rows(const float* a, const float* b, float* out, std::size_t i0,
       const std::size_t ke = std::min(kb + kTileK, k);
       for (std::size_t jb = 0; jb < n; jb += kTileJ) {
         const std::size_t je = std::min(jb + kTileJ, n);
-        for (std::size_t i = ib; i < ie; ++i) {
-          accum_cols<Backend>(a + i * k, 1, b, out + i * n, kb, ke, jb, je, n);
-        }
+        detail::accum_rows<Backend>(a, k, 1, b, out, n, ib, ie, kb, ke, jb, je);
       }
     }
   }
@@ -151,9 +241,7 @@ void matmul_at_rows(const float* a, const float* b, float* out, std::size_t i0,
     const std::size_t ie = std::min(ib + kTileI, i1);
     for (std::size_t kb = 0; kb < k; kb += kTileK) {
       const std::size_t ke = std::min(kb + kTileK, k);
-      for (std::size_t i = ib; i < ie; ++i) {
-        accum_cols<Backend>(a + i, m, b, out + i * n, kb, ke, 0, n, n);
-      }
+      detail::accum_rows<Backend>(a, 1, m, b, out, n, ib, ie, kb, ke, 0, n);
     }
   }
 }

@@ -12,8 +12,8 @@ class Linear final : public Layer {
   /// Weights are Xavier-initialised from `rng`; biases start at zero.
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Linear"; }
 
@@ -31,7 +31,10 @@ class Linear final : public Layer {
   Tensor b_;       // [out]
   Tensor w_grad_;  // [out, in]
   Tensor b_grad_;  // [out]
-  Tensor input_;   // cached forward input [N, in]
+  const Tensor* input_ = nullptr;  // forward input [N, in], read by backward
+  Tensor output_;      // [N, out]
+  Tensor w_grad_step_;  // this backward's dL/dW before accumulation
+  Tensor grad_input_;  // [N, in]
 };
 
 }  // namespace dtmsv::nn

@@ -5,11 +5,16 @@
 namespace dtmsv::nn {
 
 LossResult mse_loss(const Tensor& prediction, const Tensor& target) {
+  LossResult result;
+  mse_loss(prediction, target, result);
+  return result;
+}
+
+void mse_loss(const Tensor& prediction, const Tensor& target, LossResult& result) {
   DTMSV_EXPECTS_MSG(same_shape(prediction, target), "mse_loss: shape mismatch");
   DTMSV_EXPECTS(!prediction.empty());
   const auto n = static_cast<float>(prediction.size());
-  LossResult result;
-  result.grad = Tensor(prediction.shape());
+  result.grad.resize(prediction.shape());
   auto g = result.grad.data();
   const auto p = prediction.data();
   const auto t = target.data();
@@ -20,7 +25,6 @@ LossResult mse_loss(const Tensor& prediction, const Tensor& target) {
     g[i] = 2.0f * err / n;
   }
   result.value = total / n;
-  return result;
 }
 
 LossResult huber_loss(const Tensor& prediction, const Tensor& target, float delta) {

@@ -14,6 +14,10 @@ struct LossResult {
 /// Mean squared error averaged over all elements.
 LossResult mse_loss(const Tensor& prediction, const Tensor& target);
 
+/// The same, written into `result` (its gradient buffer is reused when the
+/// shape repeats, as in a minibatch training loop).
+void mse_loss(const Tensor& prediction, const Tensor& target, LossResult& result);
+
 /// Huber (smooth-L1) loss averaged over all elements; quadratic within
 /// |err| <= delta, linear outside. The standard DQN training loss.
 LossResult huber_loss(const Tensor& prediction, const Tensor& target,

@@ -22,6 +22,12 @@ double Optimizer::clip_grad_norm(double max_norm) {
   return norm;
 }
 
+void Optimizer::zero_grad() {
+  for (auto& p : params_) {
+    p.grad->zero();
+  }
+}
+
 Sgd::Sgd(std::vector<ParamRef> params, double learning_rate, double momentum)
     : Optimizer(std::move(params)), lr_(learning_rate), momentum_(momentum) {
   DTMSV_EXPECTS(learning_rate > 0.0);
@@ -73,6 +79,11 @@ void Adam::set_learning_rate(double lr) {
   lr_ = lr;
 }
 
+// The update loop vectorises: this file is compiled without errno-setting
+// math (see CMakeLists.txt), which is what otherwise keeps std::sqrt's
+// error branch in the loop. Every operation in it (float<->double
+// conversions, multiply, add, divide, square root) is a lane-wise IEEE
+// operation, so each element's result is the scalar loop's.
 void Adam::step() {
   ++t_;
   const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));

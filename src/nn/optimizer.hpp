@@ -18,6 +18,9 @@ class Optimizer {
 
   virtual void step() = 0;
 
+  /// Zeroes the gradients of every parameter this optimiser updates.
+  void zero_grad();
+
   /// Clips the global gradient L2 norm to `max_norm` (no-op when below).
   /// Returns the pre-clip norm.
   double clip_grad_norm(double max_norm);

@@ -8,22 +8,22 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& input) {
+const Tensor& Sequential::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(!layers_.empty(), "Sequential: no layers");
-  Tensor x = input;
+  const Tensor* x = &input;
   for (const auto& layer : layers_) {
-    x = layer->forward(x);
+    x = &layer->forward(*x);
   }
-  return x;
+  return *x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
+const Tensor& Sequential::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS_MSG(!layers_.empty(), "Sequential: no layers");
-  Tensor g = grad_output;
+  const Tensor* g = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+    g = &(*it)->backward(*g);
   }
-  return g;
+  return *g;
 }
 
 std::vector<ParamRef> Sequential::parameters() {

@@ -23,8 +23,8 @@ class Sequential final : public Layer {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Sequential"; }
 

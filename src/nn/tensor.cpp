@@ -96,6 +96,21 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return Tensor(std::move(new_shape), data_);
 }
 
+void Tensor::resize(const Shape& shape) { resize_to({shape.data(), shape.size()}); }
+
+void Tensor::resize(std::initializer_list<std::size_t> shape) {
+  resize_to({shape.begin(), shape.size()});
+}
+
+void Tensor::resize_to(std::span<const std::size_t> shape) {
+  for (const std::size_t d : shape) {
+    DTMSV_EXPECTS_MSG(d > 0, "tensor dimensions must be positive");
+  }
+  // assign() reuses the shape vector's storage: no allocation once warm.
+  shape_.assign(shape.begin(), shape.end());
+  data_.resize(element_count(shape_));
+}
+
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
 Tensor& Tensor::operator+=(const Tensor& other) {
@@ -162,82 +177,102 @@ std::size_t row_grain(std::size_t per_row_flops) {
 // than the product.
 constexpr std::size_t kBtTransposeMinRows = 8;
 
-// Below this many output columns the direct batch path runs mostly in its
-// scalar tail (an AVX-512 pack is 16 lanes); a wide-m narrow-n product is
-// served better by the transposed-output form.
-constexpr std::size_t kBtMinDirectCols = 16;
+/// Scratch for matmul_bt's transposed b, reused across calls on the
+/// calling thread (the parallel row loop only reads it).
+std::vector<float>& transpose_scratch(std::size_t n) {
+  thread_local std::vector<float> scratch;
+  if (scratch.size() < n) {
+    scratch.resize(n);
+  }
+  return scratch;
+}
+
+/// Shapes `out` as m×n zeros for the accumulating kernels. An empty
+/// tensor's new storage is zero-filled by resize() already, so only
+/// reused storage is cleared.
+void zeroed(Tensor& out, std::size_t m, std::size_t n) {
+  const bool fresh = out.empty();
+  out.resize({m, n});
+  if (!fresh) {
+    out.zero();
+  }
+}
 
 }  // namespace
 
-Tensor Tensor::matmul(const Tensor& a, const Tensor& b) {
+void Tensor::matmul(const Tensor& a, const Tensor& b, Tensor& out) {
   DTMSV_EXPECTS(a.rank() == 2 && b.rank() == 2);
   DTMSV_EXPECTS_MSG(a.dim(1) == b.dim(0), "inner dimensions must agree");
   const std::size_t m = a.dim(0);
   const std::size_t k = a.dim(1);
   const std::size_t n = b.dim(1);
-  Tensor out({m, n});
+  zeroed(out, m, n);
   const float* ap = a.data_.data();
   const float* bp = b.data_.data();
   float* op = out.data_.data();
   util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
     kernels::matmul_rows<Backend>(ap, bp, op, i0, i1, k, n);
   });
-  return out;
 }
 
-Tensor Tensor::matmul_bt(const Tensor& a, const Tensor& b) {
+void Tensor::matmul_bt(const Tensor& a, const Tensor& b, Tensor& out) {
   DTMSV_EXPECTS(a.rank() == 2 && b.rank() == 2);
   DTMSV_EXPECTS_MSG(a.dim(1) == b.dim(1), "inner dimensions must agree (b transposed)");
   const std::size_t m = a.dim(0);
   const std::size_t k = a.dim(1);
   const std::size_t n = b.dim(0);
-  Tensor out({m, n});
+  zeroed(out, m, n);
   const float* ap = a.data_.data();
   const float* bp = b.data_.data();
   float* op = out.data_.data();
   if (m >= kBtTransposeMinRows) {
-    if (n < kBtMinDirectCols && m > n) {
-      // Narrow output (e.g. a wide batch against a head with few units):
-      // too few columns to fill vector lanes directly, so compute outᵀ =
-      // b · aᵀ instead — lanes become output *rows*, of which there are
-      // many. fma(x, y, acc) == fma(y, x, acc) exactly, so each (i, j)
-      // still accumulates the scalar reference chain in ascending kk.
-      std::vector<float> at(k * m);
-      kernels::transpose(ap, at.data(), m, k);
-      std::vector<float> ot(n * m, 0.0f);
-      kernels::matmul_rows<Backend>(bp, at.data(), ot.data(), 0, n, k, m);
-      kernels::transpose(ot.data(), op, n, m);
-      return out;
-    }
     // Batch path: transpose b once, then the product is a plain a · bᵗ
-    // matmul on contiguous columns the vector kernel can eat.
-    std::vector<float> bt(k * n);
-    kernels::transpose(bp, bt.data(), n, k);
-    const float* btp = bt.data();
+    // matmul on contiguous columns the vector kernel can eat. Narrow
+    // outputs (a head with fewer units than a pack has lanes) stay on this
+    // path too: the row-blocked kernel runs their column tail on narrower
+    // packs, a block of rows at a time.
+    float* btp = transpose_scratch(k * n).data();
+    kernels::transpose(bp, btp, n, k);
     util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
       kernels::matmul_rows<Backend>(ap, btp, op, i0, i1, k, n);
     });
-    return out;
+    return;
   }
   util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
     kernels::matmul_bt_rows(ap, bp, op, i0, i1, k, n);
   });
-  return out;
 }
 
-Tensor Tensor::matmul_at(const Tensor& a, const Tensor& b) {
+void Tensor::matmul_at(const Tensor& a, const Tensor& b, Tensor& out) {
   DTMSV_EXPECTS(a.rank() == 2 && b.rank() == 2);
   DTMSV_EXPECTS_MSG(a.dim(0) == b.dim(0), "inner dimensions must agree (a transposed)");
   const std::size_t k = a.dim(0);
   const std::size_t m = a.dim(1);
   const std::size_t n = b.dim(1);
-  Tensor out({m, n});
+  zeroed(out, m, n);
   const float* ap = a.data_.data();
   const float* bp = b.data_.data();
   float* op = out.data_.data();
   util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
     kernels::matmul_at_rows<Backend>(ap, bp, op, i0, i1, k, m, n);
   });
+}
+
+Tensor Tensor::matmul(const Tensor& a, const Tensor& b) {
+  Tensor out;
+  matmul(a, b, out);
+  return out;
+}
+
+Tensor Tensor::matmul_bt(const Tensor& a, const Tensor& b) {
+  Tensor out;
+  matmul_bt(a, b, out);
+  return out;
+}
+
+Tensor Tensor::matmul_at(const Tensor& a, const Tensor& b) {
+  Tensor out;
+  matmul_at(a, b, out);
   return out;
 }
 

@@ -79,6 +79,14 @@ class Tensor {
   /// Reinterprets the buffer with a new shape of identical element count.
   Tensor reshaped(Shape new_shape) const;
 
+  /// Gives the tensor `shape` in place, like std::vector::resize on the
+  /// buffer: existing elements keep their values, new ones are zero, and
+  /// storage is reused whenever it is large enough. Layer workspaces call
+  /// this once per forward/backward, so same-shaped minibatches allocate
+  /// nothing.
+  void resize(const Shape& shape);
+  void resize(std::initializer_list<std::size_t> shape);
+
   void fill(float value);
   void zero() { fill(0.0f); }
 
@@ -106,10 +114,19 @@ class Tensor {
   /// Matrix product with a transposed: (k×m)ᵀ · (k×n) -> (m×n).
   static Tensor matmul_at(const Tensor& a, const Tensor& b);
 
+  /// The same three products written into `out`, which is resized to the
+  /// result shape (reusing its storage) and overwritten. `out` must not
+  /// alias an operand.
+  static void matmul(const Tensor& a, const Tensor& b, Tensor& out);
+  static void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out);
+  static void matmul_at(const Tensor& a, const Tensor& b, Tensor& out);
+
   /// Human-readable shape, e.g. "[32, 4, 16]".
   std::string shape_string() const;
 
  private:
+  void resize_to(std::span<const std::size_t> shape);
+
   Shape shape_;
   std::vector<float> data_;
 };

@@ -66,7 +66,7 @@ double DdqnAgent::current_epsilon() const { return epsilon_.value(action_steps_)
 std::vector<float> DdqnAgent::q_values(std::span<const float> state) {
   DTMSV_EXPECTS(state.size() == config_.state_dim);
   std::copy(state.begin(), state.end(), single_state_.data().begin());
-  const nn::Tensor out = online_->forward(single_state_);
+  const nn::Tensor& out = online_->forward(single_state_);
   return {out.data().begin(), out.data().end()};
 }
 
@@ -75,8 +75,7 @@ std::size_t DdqnAgent::greedy_action(std::span<const float> state) {
   // Scans the forward output in place (no q-vector materialised); first
   // maximum wins, like std::max_element over q_values would.
   std::copy(state.begin(), state.end(), single_state_.data().begin());
-  const nn::Tensor out = online_->forward(single_state_);
-  const std::span<const float> q = out.data();
+  const std::span<const float> q = online_->forward(single_state_).data();
   std::size_t best = 0;
   for (std::size_t a = 1; a < config_.action_count; ++a) {
     if (q[a] > q[best]) {
@@ -87,18 +86,21 @@ std::size_t DdqnAgent::greedy_action(std::span<const float> state) {
 }
 
 nn::Tensor DdqnAgent::q_values_batch(std::span<const float> states, std::size_t n) {
+  return forward_batch(states, n);
+}
+
+const nn::Tensor& DdqnAgent::forward_batch(std::span<const float> states,
+                                           std::size_t n) {
   DTMSV_EXPECTS(n > 0);
   DTMSV_EXPECTS(states.size() == n * config_.state_dim);
-  if (batch_state_.rank() != 2 || batch_state_.dim(0) != n) {
-    batch_state_ = nn::Tensor({n, config_.state_dim});
-  }
+  batch_state_.resize({n, config_.state_dim});
   std::copy(states.begin(), states.end(), batch_state_.data().begin());
   return online_->forward(batch_state_);
 }
 
 std::vector<std::size_t> DdqnAgent::greedy_actions(std::span<const float> states,
                                                    std::size_t n) {
-  const nn::Tensor q = q_values_batch(states, n);
+  const nn::Tensor& q = forward_batch(states, n);
   const float* rows = q.data().data();
   std::vector<std::size_t> actions(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -101,6 +101,10 @@ class DdqnAgent {
 
  private:
   nn::Tensor batch_states(const std::vector<const Transition*>& batch, bool next) const;
+  /// Stages `n` states in batch_state_ and runs the online network; the
+  /// result is the network's own output buffer (valid until its next
+  /// forward).
+  const nn::Tensor& forward_batch(std::span<const float> states, std::size_t n);
 
   DdqnConfig config_;
   util::Rng rng_;

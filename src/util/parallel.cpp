@@ -160,21 +160,20 @@ void set_thread_count(std::size_t n) {
   g_override.store(n, std::memory_order_relaxed);
 }
 
-void parallel_for(std::size_t begin, std::size_t end, std::size_t min_grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) {
-    return;
-  }
-  const std::size_t threads = thread_count();
-  const std::size_t span = end - begin;
-  if (threads <= 1 || span < min_grain || g_nesting > 0) {
-    fn(begin, end);
-    return;
-  }
+namespace detail {
+
+bool runs_inline(std::size_t span, std::size_t min_grain) {
+  return thread_count() <= 1 || span < min_grain || g_nesting > 0;
+}
+
+void run_pooled(std::size_t begin, std::size_t end,
+                const std::function<void(std::size_t, std::size_t)>& fn) {
   // One chunk per thread: chunk boundaries are a pure function of the
   // range and thread count, keeping every run's work partition stable.
-  const std::size_t chunks = std::min(threads, span);
+  const std::size_t chunks = std::min(thread_count(), end - begin);
   Pool::instance().run(begin, end, chunks, fn);
 }
+
+}  // namespace detail
 
 }  // namespace dtmsv::util

@@ -87,6 +87,22 @@ using default_backend = avx2_backend;
 using default_backend = scalar_backend;
 #endif
 
+/// The next-narrower vector backend, for kernels whose column tails are
+/// too short for a full pack (AVX-512 -> AVX2); `void` when there is none.
+/// Both backends gate their float madd on the same fast-FMA macros, so a
+/// tail on the narrower packs computes exactly what the wider lanes would.
+template <typename Backend>
+struct narrower {
+  using type = void;
+};
+
+#if defined(__AVX512F__) && defined(__AVX2__) && defined(__FMA__)
+template <>
+struct narrower<avx512_backend> {
+  using type = avx2_backend;
+};
+#endif
+
 /// Name of the backend the library was compiled to use ("scalar", "avx2",
 /// "avx512") — recorded in bench JSON context and NDJSON meta records so
 /// perf baselines are attributable to an ISA.

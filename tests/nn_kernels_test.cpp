@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "nn/kernels.hpp"
@@ -224,7 +226,10 @@ void expect_bits_equal(const std::vector<float>& got,
                        const std::vector<float>& want, const char* label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << label << ": element " << i << " diverges";
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << label << ": element " << i << " diverges (" << got[i] << " vs "
+        << want[i] << ")";
   }
 }
 
@@ -286,6 +291,59 @@ TEST(SimdBackends, MatmulKernelsBitIdenticalAcrossBackends) {
 #endif
 #if defined(__AVX512F__)
   check_matmul_backend_matches_scalar<simd::avx512_backend>("avx512");
+#endif
+}
+
+// The row-blocked micro-kernels against a naive scalar reference that
+// accumulates every output element in ascending kk through the shared
+// madd, starting from the element's prior value (the kernels accumulate
+// into `out`). Row counts cover the 8-row block and its 4/2/1-row
+// remainders, column counts every pack width and the scalar tail, inner
+// counts the 64-wide k tile.
+template <typename Backend>
+void check_row_blocked_kernels_match_reference(const char* name) {
+  Rng rng(14);
+  for (const std::size_t m : {1u, 3u, 4u, 5u, 17u}) {
+    for (const std::size_t n : {1u, 7u, 16u, 55u, 129u}) {
+      for (const std::size_t k : {1u, 63u, 64u, 65u}) {
+        const auto a = random_values(m * k, rng);   // m×k for matmul_rows
+        const auto at = random_values(k * m, rng);  // k×m for matmul_at_rows
+        const auto b = random_values(k * n, rng);
+        const auto init = random_values(m * n, rng);
+        std::vector<float> want(init), want_at(init);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            float acc = init[i * n + j];
+            float acc_at = init[i * n + j];
+            for (std::size_t kk = 0; kk < k; ++kk) {
+              acc = simd::madd(a[i * k + kk], b[kk * n + j], acc);
+              acc_at = simd::madd(at[kk * m + i], b[kk * n + j], acc_at);
+            }
+            want[i * n + j] = acc;
+            want_at[i * n + j] = acc_at;
+          }
+        }
+        std::vector<float> got(init), got_at(init);
+        dtmsv::nn::kernels::matmul_rows<Backend>(a.data(), b.data(), got.data(), 0,
+                                                 m, k, n);
+        dtmsv::nn::kernels::matmul_at_rows<Backend>(at.data(), b.data(),
+                                                    got_at.data(), 0, m, k, m, n);
+        SCOPED_TRACE(testing::Message() << name << " m=" << m << " n=" << n
+                                        << " k=" << k);
+        expect_bits_equal(got, want, name);
+        expect_bits_equal(got_at, want_at, name);
+      }
+    }
+  }
+}
+
+TEST(SimdBackends, RowBlockedKernelsMatchScalarReference) {
+  check_row_blocked_kernels_match_reference<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_row_blocked_kernels_match_reference<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_row_blocked_kernels_match_reference<simd::avx512_backend>("avx512");
 #endif
 }
 

@@ -3,7 +3,9 @@
 // training convergence test), and parameter serialisation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -300,6 +302,124 @@ TEST(Conv1D, GradientCheckStridedPadded) {
                                << result.max_input_error;
 }
 
+// Exact-bits comparison: the layer promises the same accumulation chains
+// as the naive references below, not merely close values.
+void expect_same_bits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << what << " element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+struct ConvReference {
+  Tensor out, grad_input, grad_weight, grad_bias;
+};
+
+// Naive per-element Conv1D in the orders the layer promises: each output
+// is one ascending-(c, k) madd chain over the zero-padded input (padding
+// taps included) plus the bias; each weight gradient one ascending-(b, t)
+// chain; the bias gradient per-element row sums; and each input gradient
+// the sum, in ascending output position t, of that tap's ascending-f
+// chain.
+ConvReference naive_conv(const Tensor& x, const Tensor& w, const Tensor& bias,
+                         const Tensor& g, std::size_t stride, std::size_t pad) {
+  const std::size_t n = x.dim(0), c_in = x.dim(1), len = x.dim(2);
+  const std::size_t f_out = w.dim(0), kernel = w.dim(2);
+  const std::size_t out_len = (len + 2 * pad - kernel) / stride + 1;
+  const auto xp = [&](std::size_t b, std::size_t c, std::size_t padded) {
+    return padded < pad || padded >= pad + len ? 0.0f : x.at3(b, c, padded - pad);
+  };
+  ConvReference r{Tensor({n, f_out, out_len}), Tensor({n, c_in, len}),
+                  Tensor(w.shape()), Tensor({f_out})};
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t f = 0; f < f_out; ++f) {
+      for (std::size_t t = 0; t < out_len; ++t) {
+        float acc = 0.0f;
+        for (std::size_t c = 0; c < c_in; ++c) {
+          for (std::size_t k = 0; k < kernel; ++k) {
+            acc = fused_madd(w.at3(f, c, k), xp(b, c, t * stride + k), acc);
+          }
+        }
+        r.out.at3(b, f, t) = acc + bias[f];
+      }
+    }
+  }
+  for (std::size_t f = 0; f < f_out; ++f) {
+    for (std::size_t b = 0; b < n; ++b) {
+      float row = 0.0f;
+      for (std::size_t t = 0; t < out_len; ++t) {
+        row += g.at3(b, f, t);
+      }
+      r.grad_bias[f] += row;
+    }
+    for (std::size_t c = 0; c < c_in; ++c) {
+      for (std::size_t k = 0; k < kernel; ++k) {
+        float acc = 0.0f;
+        for (std::size_t b = 0; b < n; ++b) {
+          for (std::size_t t = 0; t < out_len; ++t) {
+            acc = fused_madd(g.at3(b, f, t), xp(b, c, t * stride + k), acc);
+          }
+        }
+        r.grad_weight.at3(f, c, k) += acc;
+      }
+    }
+  }
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t c = 0; c < c_in; ++c) {
+      for (std::size_t t = 0; t < out_len; ++t) {
+        for (std::size_t k = 0; k < kernel; ++k) {
+          const std::size_t padded = t * stride + k;
+          if (padded < pad || padded >= pad + len) {
+            continue;
+          }
+          float tap = 0.0f;
+          for (std::size_t f = 0; f < f_out; ++f) {
+            tap = fused_madd(w.at3(f, c, k), g.at3(b, f, t), tap);
+          }
+          r.grad_input.at3(b, c, padded - pad) += tap;
+        }
+      }
+    }
+  }
+  return r;
+}
+
+TEST(Conv1D, MatchesNaiveReferenceBitForBit) {
+  Rng rng(14);
+  for (const std::size_t kernel : {1u, 3u, 5u}) {
+    for (const std::size_t pad : {0u, 1u, 2u}) {
+      for (const std::size_t stride : {1u, 2u}) {
+        for (const std::size_t len : {8u, 9u, 16u, 33u}) {
+          SCOPED_TRACE(testing::Message() << "kernel=" << kernel << " pad=" << pad
+                                          << " stride=" << stride << " len=" << len);
+          Conv1D conv(3, 5, kernel, rng, stride, pad);
+          for (float& v : conv.bias().data()) {
+            v = static_cast<float>(rng.normal(0.0, 0.5));
+          }
+          const std::size_t out_len = conv.output_length(len);
+          // A larger warm-up batch first, so the checked pass runs on
+          // reused, shrunk workspaces.
+          const Tensor warm = random_tensor({4, 3, len}, rng);
+          (void)conv.forward(warm);
+          (void)conv.backward(random_tensor({4, 5, out_len}, rng));
+          conv.zero_grad();
+
+          const Tensor x = random_tensor({2, 3, len}, rng);
+          const Tensor g = random_tensor({2, 5, out_len}, rng);
+          const ConvReference want =
+              naive_conv(x, conv.weights(), conv.bias(), g, stride, pad);
+          expect_same_bits(conv.forward(x), want.out, "output");
+          expect_same_bits(conv.backward(g), want.grad_input, "input gradient");
+          const auto params = conv.parameters();
+          expect_same_bits(*params[0].grad, want.grad_weight, "weight gradient");
+          expect_same_bits(*params[1].grad, want.grad_bias, "bias gradient");
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- Activations
 
 TEST(ReLU, ForwardClampsNegatives) {
@@ -562,6 +682,51 @@ TEST(Adam, GradClipBoundsNorm) {
     }
   }
   EXPECT_NEAR(std::sqrt(sq), 1.0, 1e-4);
+}
+
+TEST(Adam, StepMatchesScalarLoop) {
+  // Parameter sizes cover a vector body and a ragged tail; some gradients
+  // are zero and steps 3 and 4 are clipped before the update.
+  Rng rng(24);
+  Tensor w = random_tensor({37, 29}, rng);
+  Tensor b = random_tensor({13}, rng);
+  Tensor gw(w.shape());
+  Tensor gb(b.shape());
+  const double lr = 0.01, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  Adam opt({{&w, &gw, "w"}, {&b, &gb, "b"}}, lr, beta1, beta2, eps);
+
+  std::vector<Tensor> values{w, b};
+  std::vector<Tensor> m{Tensor(w.shape()), Tensor(b.shape())};
+  std::vector<Tensor> v{Tensor(w.shape()), Tensor(b.shape())};
+  for (std::size_t t = 1; t <= 5; ++t) {
+    const double scale = t == 3 || t == 4 ? 50.0 : 1.0;
+    for (Tensor* grad : {&gw, &gb}) {
+      for (std::size_t i = 0; i < grad->size(); ++i) {
+        (*grad)[i] = i % 3 == 0 ? 0.0f : static_cast<float>(rng.normal(0.0, scale));
+      }
+    }
+    if (scale > 1.0) {
+      EXPECT_GT(opt.clip_grad_norm(1.0), 1.0);
+    }
+    // The scalar loop, on the gradients exactly as the optimiser sees them.
+    const double bias1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bias2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    const Tensor* grads[] = {&gw, &gb};
+    for (std::size_t p = 0; p < values.size(); ++p) {
+      for (std::size_t j = 0; j < values[p].size(); ++j) {
+        const double g = (*grads[p])[j];
+        m[p][j] = static_cast<float>(beta1 * m[p][j] + (1.0 - beta1) * g);
+        v[p][j] = static_cast<float>(beta2 * v[p][j] + (1.0 - beta2) * g * g);
+        const double m_hat = m[p][j] / bias1;
+        const double v_hat = v[p][j] / bias2;
+        values[p][j] -= static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + eps));
+      }
+    }
+    opt.step();
+    SCOPED_TRACE(testing::Message() << "step " << t);
+    expect_same_bits(w, values[0], "weights");
+    expect_same_bits(b, values[1], "bias");
+  }
 }
 
 TEST(Optimizer, RejectsBadHyperparameters) {

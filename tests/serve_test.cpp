@@ -6,8 +6,11 @@
 // config loader.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -294,9 +297,77 @@ TEST(ServeLoop, RejectsBadConfigAndBadEvents) {
 
   cfg = small_serve();
   core::ServeLoop loop(cfg, clock);
-  EXPECT_THROW(loop.offer(channel_at(99, 1.0)), util::PreconditionError);
   loop.advance_to(5.0);
   EXPECT_THROW(loop.advance_to(4.0), util::PreconditionError);
+}
+
+// Bad reports are refused at offer() and counted, one class per test: the
+// loop keeps serving, good reports around them are ingested, and each
+// interval record carries the count rejected since the previous one.
+
+TEST(ServeLoop, RejectsOutOfRangeUserAndCountsIt) {
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(small_serve(), clock, &sink);
+  loop.offer(channel_at(0, 1.0));
+  EXPECT_NO_THROW(loop.offer(channel_at(12, 2.0)));  // user_count is 12
+  EXPECT_NO_THROW(loop.offer(channel_at(99, 3.0)));
+  loop.offer(channel_at(1, 4.0));
+  EXPECT_EQ(loop.queue_size(), 2u);
+  loop.advance_to(10.0);
+  EXPECT_EQ(loop.stats().events_rejected, 2u);
+  EXPECT_EQ(loop.stats().events_ingested, 2u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  EXPECT_EQ(sink.reports[0].events_rejected, std::optional<std::uint64_t>(2u));
+}
+
+TEST(ServeLoop, RejectsLateReportAndCountsIt) {
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(small_serve(), clock, &sink);
+  loop.offer(channel_at(0, 5.0));
+  loop.advance_to(6.0);  // user 0's channel column now ends at t = 5
+  // Older than user 0's latest sample (the twin column's time check), and
+  // older than the newest admitted report while the queue holds it.
+  EXPECT_NO_THROW(loop.offer(channel_at(0, 4.0)));
+  loop.offer(channel_at(1, 7.0));
+  EXPECT_NO_THROW(loop.offer(channel_at(2, 6.5)));
+  EXPECT_NO_THROW(loop.advance_to(10.0));
+  EXPECT_EQ(loop.stats().events_rejected, 2u);
+  EXPECT_EQ(loop.stats().events_ingested, 2u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  EXPECT_EQ(sink.reports[0].events_rejected, std::optional<std::uint64_t>(2u));
+  loop.offer(channel_at(0, 12.0));
+  loop.advance_to(20.0);
+  ASSERT_EQ(sink.reports.size(), 2u);
+  EXPECT_EQ(sink.reports[1].events_rejected, std::optional<std::uint64_t>(0u));
+}
+
+TEST(ServeLoop, RejectsNonFiniteReportAndCountsIt) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(small_serve(), clock, &sink);
+  for (std::uint32_t u = 0; u < 12; ++u) {
+    loop.offer(channel_at(u, 1.0 + 0.1 * u, 10.0 + u));
+  }
+  loop.offer(channel_at(3, 3.0, nan));
+  loop.offer(channel_at(4, nan));
+  loop.offer(core::TwinEvent::location_report(5, 3.0, {inf, 10.0}));
+  twin::WatchObservation watch;
+  watch.watch_seconds = nan;
+  loop.offer(core::TwinEvent::watch_report(6, 3.0, watch));
+  loop.advance_to(10.0);
+  EXPECT_EQ(loop.stats().events_rejected, 4u);
+  EXPECT_EQ(loop.stats().events_ingested, 12u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  EXPECT_EQ(sink.reports[0].events_rejected, std::optional<std::uint64_t>(4u));
+  EXPECT_TRUE(std::isfinite(sink.reports[0].predicted_radio_hz_total));
+  for (const core::GroupReport& group : sink.groups) {
+    EXPECT_TRUE(std::isfinite(group.predicted_radio_hz));
+    EXPECT_TRUE(std::isfinite(group.predicted_compute_cycles));
+  }
 }
 
 /// Runs the scripted overload scenario end to end and returns the sink.

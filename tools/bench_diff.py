@@ -8,6 +8,12 @@ anything slower than the threshold is flagged. By default regressions only
 exit non-zero when a regression exceeds the threshold (for dedicated perf
 hardware).
 
+Rows that ran on more pool threads than the smaller of the two files'
+`context.num_cpus` measure oversubscription, not scaling: they are listed
+as skipped instead of compared. A benchmark marks such rows with a
+`pool_threads` counter (the thread-scaling rows of bench_micro_perf).
+When the two CPU counts differ, both are printed.
+
 Standard library only, by design.
 
 Usage:
@@ -31,7 +37,8 @@ def die(message):
 
 
 def load_benchmarks(path, metric):
-    """Returns {name: time_ns} for the plain iteration entries of `path`."""
+    """Returns ({name: time_ns}, {name: pool_threads}, num_cpus or None) for
+    the plain iteration entries of `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -40,6 +47,7 @@ def load_benchmarks(path, metric):
     except json.JSONDecodeError as err:
         die(f"{path} is not valid JSON: {err}")
     out = {}
+    pool = {}
     for entry in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions);
         # manual emitter entries are run_type == "iteration" as well.
@@ -50,9 +58,12 @@ def load_benchmarks(path, metric):
         if name is None or value is None:
             continue
         out[name] = float(value)  # benchmark emits times in ns
+        if entry.get("pool_threads") is not None:
+            pool[name] = int(entry["pool_threads"])
     if not out:
         die(f"{path} holds no benchmark entries")
-    return out
+    num_cpus = doc.get("context", {}).get("num_cpus")
+    return out, pool, int(num_cpus) if num_cpus else None
 
 
 def format_ns(ns):
@@ -95,14 +106,26 @@ def main():
     if args.threshold <= 0:
         parser.error("--threshold must be positive")
 
-    baseline = load_benchmarks(args.baseline, args.metric)
-    current = load_benchmarks(args.current, args.metric)
+    baseline, base_pool, base_cpus = load_benchmarks(args.baseline, args.metric)
+    current, cur_pool, cur_cpus = load_benchmarks(args.current, args.metric)
     if args.filter:
         pattern = re.compile(args.filter)
         baseline = {k: v for k, v in baseline.items() if pattern.search(k)}
         current = {k: v for k, v in current.items() if pattern.search(k)}
 
+    if base_cpus and cur_cpus and base_cpus != cur_cpus:
+        print(f"note: CPU counts differ: baseline num_cpus={base_cpus}, "
+              f"current num_cpus={cur_cpus}")
+    known_cpus = [c for c in (base_cpus, cur_cpus) if c]
+    max_threads = min(known_cpus) if known_cpus else None
+
+    def oversubscribed(name):
+        threads = max(base_pool.get(name, 0), cur_pool.get(name, 0))
+        return max_threads is not None and threads > max_threads
+
     shared = [name for name in baseline if name in current]
+    skipped = [name for name in shared if oversubscribed(name)]
+    shared = [name for name in shared if not oversubscribed(name)]
     only_baseline = sorted(set(baseline) - set(current))
     only_current = sorted(set(current) - set(baseline))
 
@@ -128,6 +151,9 @@ def main():
             f"{format_ns(cur_ns):>10}  {delta:>+7.1f}%{flag}"
         )
 
+    if skipped:
+        print(f"\nskipped, more pool threads than {max_threads} CPU(s): "
+              f"{', '.join(skipped)}")
     if only_baseline:
         print(f"\nonly in baseline (removed?): {', '.join(only_baseline)}")
     if only_current:
@@ -149,7 +175,8 @@ def main():
             print(f"note: {message}", file=sys.stderr)
 
     print(
-        f"\n{len(shared)} compared, {len(regressions)} regression(s) beyond "
+        f"\n{len(shared)} compared, {len(skipped)} skipped, "
+        f"{len(regressions)} regression(s) beyond "
         f"{args.threshold:g}%, {len(improvements)} improvement(s) beyond it"
     )
     for name, delta in regressions:

@@ -177,6 +177,7 @@ void write_summary_meta(dtmsv::core::JsonReportSink& sink,
        {"events_offered", std::to_string(offered)},
        {"events_ingested", std::to_string(stats.events_ingested)},
        {"events_dropped", std::to_string(stats.events_dropped)},
+       {"events_rejected", std::to_string(stats.events_rejected)},
        {"steps_down", std::to_string(stats.steps_down)},
        {"steps_up", std::to_string(stats.steps_up)},
        {"latency_p50_ms",
@@ -277,7 +278,8 @@ int main(int argc, char** argv) {
             .count();
 
     const core::ServeStats& stats = loop.stats();
-    const std::uint64_t offered = stats.events_ingested + stats.events_dropped;
+    const std::uint64_t offered =
+        stats.events_ingested + stats.events_dropped + stats.events_rejected;
     std::size_t records = 0;
     if (sink != nullptr) {
       write_summary_meta(*sink, stats, offered, wall_s);
@@ -301,7 +303,8 @@ int main(int argc, char** argv) {
     if (!options.quiet) {
       std::ostream& info = plan.report_path == "-" ? std::cerr : std::cout;
       util::Table summary({"intervals", "misses", "p50 ms", "p95 ms", "p99 ms",
-                           "events/s", "ingested", "dropped", "down", "up"});
+                           "events/s", "ingested", "dropped", "rejected",
+                           "down", "up"});
       const double events_per_s =
           wall_s > 0.0 ? static_cast<double>(stats.events_ingested) / wall_s
                        : 0.0;
@@ -313,6 +316,7 @@ int main(int argc, char** argv) {
            util::fixed(core::latency_percentile(stats.latencies_ms, 99.0), 2),
            util::fixed(events_per_s, 0), std::to_string(stats.events_ingested),
            std::to_string(stats.events_dropped),
+           std::to_string(stats.events_rejected),
            std::to_string(stats.steps_down), std::to_string(stats.steps_up)});
       info << "\n== dtmsv_serve: " << options.config_path << " ==\n"
            << summary.to_string();
