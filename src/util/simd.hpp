@@ -26,6 +26,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 // GCC's _mm512_reduce_* expansions trip -Wmaybe-uninitialized inside
@@ -286,9 +287,9 @@ struct pack<double, avx512_backend> {
 #endif  // __AVX512F__
 
 // -------------------------------------------------------- span-level helpers
-// Lane-wise whole-range operations with scalar tails. Because every lane is
-// an independent output, these are bit-identical across backends by
-// construction.
+// Lane-wise whole-range operations; the tail runs on the next-narrower
+// backend, then scalar. Because every lane is an independent output, these
+// are bit-identical across backends by construction.
 
 /// dst[i] += src[i] for i in [0, n).
 template <typename Backend, typename T>
@@ -298,6 +299,11 @@ inline void add_rows(T* dst, const T* src, std::size_t n) {
   if constexpr (P::width > 1) {
     for (; i + P::width <= n; i += P::width) {
       (P::load(dst + i) + P::load(src + i)).store(dst + i);
+    }
+    using Narrower = typename narrower<Backend>::type;
+    if constexpr (!std::is_void_v<Narrower>) {
+      add_rows<Narrower>(dst + i, src + i, n - i);
+      return;
     }
   }
   for (; i < n; ++i) {
@@ -313,6 +319,11 @@ inline void copy_row(T* dst, const T* src, std::size_t n) {
   if constexpr (P::width > 1) {
     for (; i + P::width <= n; i += P::width) {
       P::load(src + i).store(dst + i);
+    }
+    using Narrower = typename narrower<Backend>::type;
+    if constexpr (!std::is_void_v<Narrower>) {
+      copy_row<Narrower>(dst + i, src + i, n - i);
+      return;
     }
   }
   for (; i < n; ++i) {
