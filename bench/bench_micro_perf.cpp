@@ -4,11 +4,15 @@
 // magnitude faster than the interval itself.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
+#include "analysis/popularity.hpp"
+#include "analysis/recommend.hpp"
 #include "analysis/swiping.hpp"
 #include "bench_to_json.hpp"
 #include "clustering/kmeans.hpp"
@@ -409,6 +413,34 @@ void BM_PredictGroupDemand(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictGroupDemand);
+
+// The recommendation step of one prediction pass over k groups: rank a
+// fully observed 1,200-video catalog (200 per category) once, then build
+// every group's playlist from that ranking.
+void BM_RecommendPass(benchmark::State& state) {
+  util::Rng rng(17);
+  const video::Catalog catalog = video::Catalog::generate({}, rng);
+  analysis::PopularityAnalyzer popularity;
+  for (const video::Video& video : catalog.videos()) {
+    popularity.observe(video.id, rng.uniform(0.0, 60.0));
+  }
+  std::array<double, video::kCategoryCount> alpha{};
+  alpha.fill(1.0);
+  std::vector<behavior::PreferenceVector> preferences(
+      static_cast<std::size_t>(state.range(0)));
+  for (behavior::PreferenceVector& preference : preferences) {
+    const std::vector<double> draw = rng.dirichlet(alpha);
+    std::copy(draw.begin(), draw.end(), preference.begin());
+  }
+  const analysis::RecommenderConfig config;
+  for (auto _ : state) {
+    const analysis::PopularityRanking ranking = popularity.rank(catalog);
+    for (const behavior::PreferenceVector& preference : preferences) {
+      benchmark::DoNotOptimize(analysis::recommend(catalog, ranking, preference, config));
+    }
+  }
+}
+BENCHMARK(BM_RecommendPass)->Arg(4)->Arg(8);
 
 // ------------------------------------------------------- numeric kernels
 // Matmul / conv micro-kernels with a thread-scaling axis: range(0) is the

@@ -31,43 +31,19 @@ double PopularityAnalyzer::score(std::uint64_t video_id) const {
   return it == scores_.end() ? 0.0 : it->second;
 }
 
-namespace {
-std::vector<std::pair<std::uint64_t, double>> sorted_entries(
-    const std::unordered_map<std::uint64_t, double>& scores) {
-  std::vector<std::pair<std::uint64_t, double>> entries(scores.begin(), scores.end());
+PopularityRanking PopularityAnalyzer::rank(const video::Catalog& catalog) const {
+  std::vector<std::pair<std::uint64_t, double>> entries(scores_.begin(), scores_.end());
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) {
       return a.second > b.second;
     }
     return a.first < b.first;
   });
-  return entries;
-}
-}  // namespace
-
-std::vector<std::uint64_t> PopularityAnalyzer::top_videos(std::size_t n) const {
-  std::vector<std::uint64_t> out;
-  for (const auto& [id, score] : sorted_entries(scores_)) {
-    if (out.size() >= n) {
-      break;
-    }
-    out.push_back(id);
+  PopularityRanking ranking;
+  for (const auto& [id, score] : entries) {
+    ranking.by_category[static_cast<std::size_t>(catalog.video(id).category)].push_back(id);
   }
-  return out;
-}
-
-std::vector<std::uint64_t> PopularityAnalyzer::top_videos_in_category(
-    std::size_t n, video::Category category, const video::Catalog& catalog) const {
-  std::vector<std::uint64_t> out;
-  for (const auto& [id, score] : sorted_entries(scores_)) {
-    if (out.size() >= n) {
-      break;
-    }
-    if (catalog.video(id).category == category) {
-      out.push_back(id);
-    }
-  }
-  return out;
+  return ranking;
 }
 
 }  // namespace dtmsv::analysis

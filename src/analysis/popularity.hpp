@@ -3,6 +3,7 @@
 // are updated based on video popularity and users' preferences").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -10,6 +11,18 @@
 #include "video/catalog.hpp"
 
 namespace dtmsv::analysis {
+
+/// Observed videos of every category in rank order: score descending, ties
+/// broken by ascending id for determinism. One prediction pass builds it
+/// once (PopularityAnalyzer::rank) and every group's recommend() reads it.
+struct PopularityRanking {
+  std::array<std::vector<std::uint64_t>, video::kCategoryCount> by_category;
+
+  /// Ranked ids of one category, most popular first.
+  const std::vector<std::uint64_t>& in_category(video::Category c) const {
+    return by_category[static_cast<std::size_t>(c)];
+  }
+};
 
 /// Tracks per-video popularity scores.
 class PopularityAnalyzer {
@@ -26,13 +39,9 @@ class PopularityAnalyzer {
   /// Current score of a video (0 for never-seen).
   double score(std::uint64_t video_id) const;
 
-  /// Top-n videos by score, descending; ties broken by id for determinism.
-  std::vector<std::uint64_t> top_videos(std::size_t n) const;
-
-  /// Top-n within one category (requires the catalog for category lookup).
-  std::vector<std::uint64_t> top_videos_in_category(std::size_t n,
-                                                    video::Category category,
-                                                    const video::Catalog& catalog) const;
+  /// Ranks every tracked video within its catalog category (one sort of
+  /// the scores). Every tracked id must be in `catalog`.
+  PopularityRanking rank(const video::Catalog& catalog) const;
 
   std::size_t tracked_count() const { return scores_.size(); }
 

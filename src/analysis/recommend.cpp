@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/error.hpp"
 
@@ -36,7 +35,7 @@ behavior::PreferenceVector aggregate_group_preference(
 }
 
 Recommendation recommend(const video::Catalog& catalog,
-                         const PopularityAnalyzer& popularity,
+                         const PopularityRanking& ranking,
                          const behavior::PreferenceVector& group_preference,
                          const RecommenderConfig& config) {
   DTMSV_EXPECTS(config.playlist_size > 0);
@@ -75,22 +74,18 @@ Recommendation recommend(const video::Catalog& catalog,
     if (quota == 0) {
       continue;
     }
-    std::unordered_set<std::uint64_t> chosen;
     auto& list = per_cat[c];
 
     const std::size_t observed_quota = static_cast<std::size_t>(
         std::round(config.popularity_weight * static_cast<double>(quota)));
-    for (const std::uint64_t id :
-         popularity.top_videos_in_category(observed_quota, category, catalog)) {
-      if (chosen.insert(id).second) {
-        list.push_back(id);
-      }
-    }
+    const auto& ranked = ranking.in_category(category);
+    const std::size_t observed = std::min(observed_quota, ranked.size());
+    list.assign(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(observed));
     for (const std::uint64_t id : catalog.category_videos(category)) {
       if (list.size() >= quota) {
         break;
       }
-      if (chosen.insert(id).second) {
+      if (std::find(list.begin(), list.end(), id) == list.end()) {
         list.push_back(id);
       }
     }

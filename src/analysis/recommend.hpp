@@ -38,10 +38,10 @@ behavior::PreferenceVector aggregate_group_preference(
     const std::vector<const twin::UserDigitalTwin*>& members);
 
 /// Builds the group playlist: category quota proportional to group
-/// preference; within a category, observed-popularity top videos first,
-/// padded by catalog-popular videos not yet seen.
+/// preference; within a category, the top of `ranking` first, padded by
+/// catalog-popular videos not yet chosen.
 Recommendation recommend(const video::Catalog& catalog,
-                         const PopularityAnalyzer& popularity,
+                         const PopularityRanking& ranking,
                          const behavior::PreferenceVector& group_preference,
                          const RecommenderConfig& config);
 

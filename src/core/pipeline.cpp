@@ -505,6 +505,7 @@ PredictionPass predict_groups(const TwinSnapshot& snapshot, FeatureStage& featur
     buckets[g].push_back(u);
   }
 
+  const analysis::PopularityRanking ranking = inputs.popularity.rank(inputs.catalog);
   pass.groups.reserve(outcome.k);
   std::vector<const twin::UserDigitalTwin*> member_twins;
   for (std::size_t g = 0; g < outcome.k; ++g) {
@@ -523,8 +524,8 @@ PredictionPass predict_groups(const TwinSnapshot& snapshot, FeatureStage& featur
         member_twins, snapshot.now, config.feature_window_s, config.swiping_bins,
         config.swiping_forgetting);
     group.preference = analysis::aggregate_group_preference(member_twins);
-    group.recommendation = analysis::recommend(inputs.catalog, inputs.popularity,
-                                               group.preference, config.recommender);
+    group.recommendation = analysis::recommend(inputs.catalog, ranking, group.preference,
+                                               config.recommender);
 
     GroupDemandContext context;
     context.members = &member_twins;

@@ -127,8 +127,21 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
 
 namespace {
 
-/// True when every number a report carries is finite.
-bool finite_report(const TwinEvent& event) {
+/// True when a watch report names a catalog video under its catalog
+/// category (which also rules out values outside the Category enum), with
+/// non-negative durations and a watch fraction in the range
+/// SwipingDistribution::observe accepts.
+bool valid_watch(const twin::WatchObservation& watch, const video::Catalog& catalog) {
+  return std::isfinite(watch.duration_s) && std::isfinite(watch.watch_seconds) &&
+         std::isfinite(watch.watch_fraction) && watch.video_id < catalog.size() &&
+         catalog.video(watch.video_id).category == watch.category &&
+         watch.duration_s >= 0.0 && watch.watch_seconds >= 0.0 &&
+         watch.watch_fraction >= 0.0 && watch.watch_fraction <= 1.0 + 1e-9;
+}
+
+/// True when every number a report carries is finite and a watch payload
+/// is valid_watch().
+bool valid_report(const TwinEvent& event, const video::Catalog& catalog) {
   if (!std::isfinite(event.time)) {
     return false;
   }
@@ -139,9 +152,7 @@ bool finite_report(const TwinEvent& event) {
     case TwinEvent::Kind::kLocation:
       return std::isfinite(event.position.x) && std::isfinite(event.position.y);
     case TwinEvent::Kind::kWatch:
-      return std::isfinite(event.watch.duration_s) &&
-             std::isfinite(event.watch.watch_seconds) &&
-             std::isfinite(event.watch.watch_fraction);
+      return valid_watch(event.watch, catalog);
   }
   return false;
 }
@@ -149,7 +160,7 @@ bool finite_report(const TwinEvent& event) {
 }  // namespace
 
 void ServeLoop::offer(const TwinEvent& event) {
-  if (event.user >= config_.scheme.user_count || !finite_report(event) ||
+  if (event.user >= config_.scheme.user_count || !valid_report(event, catalog_) ||
       event.time < latest_admitted_) {
     ++stats_.events_rejected;
     return;

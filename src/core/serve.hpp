@@ -172,7 +172,8 @@ struct ServeStats {
   std::uint64_t events_ingested = 0;  // drained into the twin columns
   std::uint64_t events_dropped = 0;   // shed by the queue
   /// Refused by offer(): user id out of range, timestamp older than the
-  /// newest admitted report (late), or a non-finite timestamp or payload.
+  /// newest admitted report (late), a non-finite timestamp or payload, or
+  /// a malformed watch payload (see ServeLoop::offer).
   std::uint64_t events_rejected = 0;
   std::size_t steps_down = 0;       // ladder transitions away from rung 0
   std::size_t steps_up = 0;         // ladder transitions toward rung 0
@@ -198,7 +199,7 @@ class ServeLoop {
   const ServeConfig& config() const { return config_; }
   /// The catalog the loop generated from scheme.session.engagement.catalog
   /// (workload generators sample video ids from it so watch reports name
-  /// real videos).
+  /// real videos; offer() rejects a watch report that does not).
   const video::Catalog& catalog() const { return catalog_; }
   const twin::TwinStore& twins() const { return *twins_; }
   const DegradationPolicy& degradation() const { return policy_; }
@@ -210,12 +211,17 @@ class ServeLoop {
   util::IntervalId next_interval() const { return interval_; }
 
   /// Admission control: enqueues one twin report (bounded queue,
-  /// shed-oldest under overload). A report with a user id >=
-  /// scheme.user_count, a timestamp older than the newest admitted report
-  /// (the queue and the twin columns only append in time order), or a
-  /// non-finite timestamp or payload value is rejected: counted in
-  /// stats().events_rejected and dropped, so bad input cannot stop the
-  /// loop or reach the pipeline.
+  /// shed-oldest under overload). The loop rejects a report with
+  ///  - a user id >= scheme.user_count;
+  ///  - a timestamp older than the newest admitted report (the queue and
+  ///    the twin columns only append in time order);
+  ///  - a non-finite timestamp or payload value;
+  ///  - a watch payload naming a video outside catalog(), or a category
+  ///    that is not that video's catalog category;
+  ///  - a negative watch_seconds or duration_s, or a watch_fraction
+  ///    outside [0, 1 + 1e-9].
+  /// A rejected report is counted in stats().events_rejected and dropped,
+  /// so none of these classes can stop the loop or reach the pipeline.
   void offer(const TwinEvent& event);
 
   /// Advances event time to `t` (monotonic), draining admitted events into

@@ -3,9 +3,14 @@
 // forgetting, and the group recommender.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "analysis/popularity.hpp"
 #include "analysis/recommend.hpp"
@@ -154,24 +159,41 @@ TEST(Popularity, ScoresAccumulateEngagement) {
   EXPECT_DOUBLE_EQ(pop.score(1000), 0.0);
 }
 
+dtmsv::video::Catalog small_catalog(std::uint64_t seed, std::size_t per_category) {
+  Rng rng(seed);
+  dtmsv::video::CatalogConfig cfg;
+  cfg.videos_per_category = per_category;
+  return dtmsv::video::Catalog::generate(cfg, rng);
+}
+
 TEST(Popularity, TopVideosOrdered) {
+  const auto catalog = small_catalog(3, 10);
+  const auto& news = catalog.category_videos(Category::kNews);
   PopularityAnalyzer pop;
-  pop.observe(1, 5.0);
-  pop.observe(2, 20.0);
-  pop.observe(3, 10.0);
-  const auto top = pop.top_videos(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0], 2u);
-  EXPECT_EQ(top[1], 3u);
+  pop.observe(news[1], 5.0);
+  pop.observe(news[2], 20.0);
+  pop.observe(news[3], 10.0);
+  const PopularityRanking ranking = pop.rank(catalog);
+  const auto& top = ranking.in_category(Category::kNews);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0], news[2]);
+  EXPECT_EQ(top[1], news[3]);
+  EXPECT_EQ(top[2], news[1]);
 }
 
 TEST(Popularity, TiesBrokenByIdForDeterminism) {
+  const auto catalog = small_catalog(3, 10);
+  const auto& news = catalog.category_videos(Category::kNews);
+  const std::uint64_t low = std::min(news[0], news[1]);
+  const std::uint64_t high = std::max(news[0], news[1]);
   PopularityAnalyzer pop;
-  pop.observe(9, 5.0);
-  pop.observe(3, 5.0);
-  const auto top = pop.top_videos(2);
-  EXPECT_EQ(top[0], 3u);
-  EXPECT_EQ(top[1], 9u);
+  pop.observe(high, 5.0);
+  pop.observe(low, 5.0);
+  const PopularityRanking ranking = pop.rank(catalog);
+  const auto& top = ranking.in_category(Category::kNews);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0], low);
+  EXPECT_EQ(top[1], high);
 }
 
 TEST(Popularity, DecayPrunesDeadEntries) {
@@ -185,10 +207,7 @@ TEST(Popularity, DecayPrunesDeadEntries) {
 }
 
 TEST(Popularity, TopVideosInCategoryFilters) {
-  Rng rng(3);
-  dtmsv::video::CatalogConfig cfg;
-  cfg.videos_per_category = 10;
-  const auto catalog = dtmsv::video::Catalog::generate(cfg, rng);
+  const auto catalog = small_catalog(3, 10);
 
   PopularityAnalyzer pop;
   const auto& news = catalog.category_videos(Category::kNews);
@@ -196,9 +215,13 @@ TEST(Popularity, TopVideosInCategoryFilters) {
   pop.observe(news[0], 50.0);
   pop.observe(game[0], 100.0);
 
-  const auto top_news = pop.top_videos_in_category(5, Category::kNews, catalog);
+  const PopularityRanking ranking = pop.rank(catalog);
+  const auto& top_news = ranking.in_category(Category::kNews);
   ASSERT_EQ(top_news.size(), 1u);
   EXPECT_EQ(top_news[0], news[0]);
+  EXPECT_EQ(ranking.in_category(Category::kGame),
+            (std::vector<std::uint64_t>{game[0]}));
+  EXPECT_TRUE(ranking.in_category(Category::kMusic).empty());
 }
 
 // -------------------------------------------------------------- Recommender
@@ -220,7 +243,7 @@ TEST(Recommender, PlaylistSizeAndQuotas) {
   RecommenderConfig rcfg;
   rcfg.playlist_size = 20;
 
-  const Recommendation rec = recommend(catalog, pop, news_heavy(), rcfg);
+  const Recommendation rec = recommend(catalog, pop.rank(catalog), news_heavy(), rcfg);
   EXPECT_EQ(rec.playlist.size(), 20u);
   std::size_t total = 0;
   for (const std::size_t c : rec.per_category_counts) {
@@ -241,7 +264,7 @@ TEST(Recommender, PlaylistRespectsCategories) {
   RecommenderConfig rcfg;
   rcfg.playlist_size = 10;
 
-  const Recommendation rec = recommend(catalog, pop, news_heavy(), rcfg);
+  const Recommendation rec = recommend(catalog, pop.rank(catalog), news_heavy(), rcfg);
   std::array<std::size_t, kCategoryCount> seen{};
   for (const std::uint64_t id : rec.playlist) {
     ++seen[static_cast<std::size_t>(catalog.video(id).category)];
@@ -267,7 +290,7 @@ TEST(Recommender, ObservedPopularityLeadsPlaylist) {
   pure_news[static_cast<std::size_t>(Category::kNews)] = 1.0;
   RecommenderConfig rcfg;
   rcfg.playlist_size = 10;
-  const Recommendation rec = recommend(catalog, pop, pure_news, rcfg);
+  const Recommendation rec = recommend(catalog, pop.rank(catalog), pure_news, rcfg);
   ASSERT_FALSE(rec.playlist.empty());
   EXPECT_EQ(rec.playlist.front(), hot);
 }
@@ -282,9 +305,182 @@ TEST(Recommender, NoDuplicateVideos) {
   uniform.fill(1.0 / kCategoryCount);
   RecommenderConfig rcfg;
   rcfg.playlist_size = 36;
-  const Recommendation rec = recommend(catalog, pop, uniform, rcfg);
+  const Recommendation rec = recommend(catalog, pop.rank(catalog), uniform, rcfg);
   std::set<std::uint64_t> unique(rec.playlist.begin(), rec.playlist.end());
   EXPECT_EQ(unique.size(), rec.playlist.size());
+}
+
+// ------------------------------------ ranked recommend vs. full-sort path
+
+/// Popularity scores kept with the analyzer's own arithmetic (it does not
+/// expose its map), so the reference recommender below can sort them.
+struct ScoreMirror {
+  double forgetting;
+  std::unordered_map<std::uint64_t, double> scores;
+
+  void observe(std::uint64_t id, double watch_seconds) { scores[id] += watch_seconds; }
+  void decay() {
+    for (auto it = scores.begin(); it != scores.end();) {
+      it->second *= forgetting;
+      it = it->second < 1e-6 ? scores.erase(it) : std::next(it);
+    }
+  }
+};
+
+/// The recommender before PopularityRanking existed: every (group,
+/// category) call copies and fully sorts the scores, and an unordered_set
+/// keeps the catalog padding free of duplicates.
+Recommendation reference_recommend(const dtmsv::video::Catalog& catalog,
+                                   const std::unordered_map<std::uint64_t, double>& scores,
+                                   const PreferenceVector& preference,
+                                   const RecommenderConfig& config) {
+  Recommendation rec;
+  rec.group_preference = dtmsv::behavior::normalized(preference);
+  std::array<double, kCategoryCount> exact{};
+  std::size_t assigned = 0;
+  for (std::size_t c = 0; c < kCategoryCount; ++c) {
+    exact[c] = rec.group_preference[c] * static_cast<double>(config.playlist_size);
+    rec.per_category_counts[c] = static_cast<std::size_t>(exact[c]);
+    assigned += rec.per_category_counts[c];
+  }
+  for (; assigned < config.playlist_size; ++assigned) {
+    std::size_t best = 0;
+    double best_rem = -1.0;
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+      const double rem = exact[c] - static_cast<double>(rec.per_category_counts[c]);
+      if (rem > best_rem) {
+        best_rem = rem;
+        best = c;
+      }
+    }
+    ++rec.per_category_counts[best];
+  }
+
+  std::array<std::vector<std::uint64_t>, kCategoryCount> per_cat;
+  for (std::size_t c = 0; c < kCategoryCount; ++c) {
+    const Category category = dtmsv::video::all_categories()[c];
+    const std::size_t quota = rec.per_category_counts[c];
+    if (quota == 0) {
+      continue;
+    }
+    std::vector<std::pair<std::uint64_t, double>> entries(scores.begin(), scores.end());
+    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second > b.second : a.first < b.first;
+    });
+    const auto observed_quota = static_cast<std::size_t>(
+        std::round(config.popularity_weight * static_cast<double>(quota)));
+    std::unordered_set<std::uint64_t> chosen;
+    for (const auto& entry : entries) {
+      if (per_cat[c].size() >= observed_quota) {
+        break;
+      }
+      if (catalog.video(entry.first).category == category &&
+          chosen.insert(entry.first).second) {
+        per_cat[c].push_back(entry.first);
+      }
+    }
+    for (const std::uint64_t id : catalog.category_videos(category)) {
+      if (per_cat[c].size() >= quota) {
+        break;
+      }
+      if (chosen.insert(id).second) {
+        per_cat[c].push_back(id);
+      }
+    }
+  }
+
+  for (std::size_t round = 0; rec.playlist.size() < config.playlist_size; ++round) {
+    bool any = false;
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+      if (round < per_cat[c].size()) {
+        rec.playlist.push_back(per_cat[c][round]);
+        any = true;
+      }
+    }
+    if (!any) {
+      break;
+    }
+  }
+  return rec;
+}
+
+/// A random preference with every third category (offset by `seed`)
+/// zeroed, so those categories get a quota of 0.
+PreferenceVector sparse_preference(Rng& rng, std::uint64_t seed) {
+  PreferenceVector p{};
+  for (std::size_t c = 0; c < kCategoryCount; ++c) {
+    p[c] = (c + seed) % 3 == 0 ? 0.0 : rng.uniform(0.05, 1.0);
+  }
+  return p;
+}
+
+/// Checks rank() + recommend() against the reference for several
+/// popularity weights, playlist sizes and preferences.
+void expect_matches_reference(const dtmsv::video::Catalog& catalog,
+                              const PopularityAnalyzer& pop, const ScoreMirror& mirror,
+                              Rng& rng, std::uint64_t seed) {
+  ASSERT_EQ(pop.tracked_count(), mirror.scores.size());
+  for (const auto& [id, score] : mirror.scores) {
+    ASSERT_EQ(pop.score(id), score);
+  }
+  const PopularityRanking ranking = pop.rank(catalog);
+  PreferenceVector uniform{};
+  uniform.fill(1.0 / kCategoryCount);
+  for (const double weight : {0.0, 0.7, 1.0}) {
+    for (const std::size_t size : {1u, 7u, 12u, 40u}) {
+      RecommenderConfig config;
+      config.popularity_weight = weight;
+      config.playlist_size = size;
+      for (const PreferenceVector& preference :
+           {uniform, news_heavy(), sparse_preference(rng, seed)}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", weight " << weight
+                                          << ", playlist " << size);
+        const Recommendation got = recommend(catalog, ranking, preference, config);
+        const Recommendation want =
+            reference_recommend(catalog, mirror.scores, preference, config);
+        EXPECT_EQ(got.playlist, want.playlist);
+        EXPECT_EQ(got.per_category_counts, want.per_category_counts);
+      }
+    }
+  }
+}
+
+TEST(RecommenderEquivalence, RankedPathMatchesFullSortWithTiesAndDecay) {
+  const auto catalog = small_catalog(21, 20);
+  // Few distinct engagement values force many score ties; 0 and 1e-6 leave
+  // zero-score entries and entries that decay() prunes.
+  const std::array<double, 5> engagement = {0.0, 1e-6, 1.0, 2.0, 3.0};
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(100 + seed);
+    PopularityAnalyzer pop(0.5);
+    ScoreMirror mirror{0.5, {}};
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < 60; ++i) {
+        const auto id = static_cast<std::uint64_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(catalog.size()) - 1));
+        const double seconds = engagement[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+        pop.observe(id, seconds);
+        mirror.observe(id, seconds);
+      }
+      expect_matches_reference(catalog, pop, mirror, rng, seed);
+      pop.decay();
+      mirror.decay();
+      expect_matches_reference(catalog, pop, mirror, rng, seed);
+    }
+  }
+}
+
+TEST(RecommenderEquivalence, RankedPathMatchesFullSortOnSingleVideoCatalog) {
+  const auto catalog = small_catalog(13, 1);
+  Rng rng(13);
+  PopularityAnalyzer pop;
+  ScoreMirror mirror{0.8, {}};
+  expect_matches_reference(catalog, pop, mirror, rng, 0);
+  for (std::uint64_t id = 0; id < catalog.size(); id += 2) {
+    pop.observe(id, 4.0);
+    mirror.observe(id, 4.0);
+  }
+  expect_matches_reference(catalog, pop, mirror, rng, 1);
 }
 
 TEST(AggregateGroupPreference, EvidenceWeighted) {

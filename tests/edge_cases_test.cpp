@@ -221,7 +221,7 @@ TEST(RecommenderCorners, SingleVideoCatalogStillFillsQuota) {
   uniform.fill(1.0 / video::kCategoryCount);
   analysis::RecommenderConfig rcfg;
   rcfg.playlist_size = 12;
-  const auto rec = analysis::recommend(catalog, pop, uniform, rcfg);
+  const auto rec = analysis::recommend(catalog, pop.rank(catalog), uniform, rcfg);
   // Only 6 distinct videos exist (one per category); the playlist cannot
   // exceed them but must include each chosen category's video exactly once.
   EXPECT_LE(rec.playlist.size(), 6u);
@@ -239,7 +239,7 @@ TEST(RecommenderCorners, ExtremePreferenceConcentratesPlaylist) {
   extreme[static_cast<std::size_t>(video::Category::kMusic)] = 1.0;
   analysis::RecommenderConfig rcfg;
   rcfg.playlist_size = 20;
-  const auto rec = analysis::recommend(catalog, pop, extreme, rcfg);
+  const auto rec = analysis::recommend(catalog, pop.rank(catalog), extreme, rcfg);
   ASSERT_EQ(rec.playlist.size(), 20u);
   for (const auto id : rec.playlist) {
     EXPECT_EQ(catalog.video(id).category, video::Category::kMusic);

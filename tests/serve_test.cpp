@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -370,6 +371,81 @@ TEST(ServeLoop, RejectsNonFiniteReportAndCountsIt) {
   }
 }
 
+/// A well-formed watch report of `video_id` as the loop's catalog holds it.
+twin::WatchObservation catalog_watch(const core::ServeLoop& loop, std::uint64_t video_id) {
+  const video::Video& video = loop.catalog().video(video_id);
+  twin::WatchObservation watch;
+  watch.video_id = video_id;
+  watch.category = video.category;
+  watch.duration_s = video.duration_s;
+  watch.watch_fraction = 0.5;
+  watch.watch_seconds = 0.5 * video.duration_s;
+  return watch;
+}
+
+/// Offers one channel report per user and a valid watch report by user 7,
+/// plus, by user 6, one watch report per `corrupt` applied to a valid one.
+/// Every corrupt report must be rejected and counted without stopping the
+/// next prediction, and user 6's twin must never see a watch row.
+void expect_watch_reports_rejected(
+    const std::vector<std::function<void(twin::WatchObservation&)>>& corrupt) {
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(small_serve(), clock, &sink);
+  for (std::uint32_t u = 0; u < 12; ++u) {
+    loop.offer(channel_at(u, 1.0 + 0.1 * u, 10.0 + u));
+  }
+  for (const auto& apply : corrupt) {
+    twin::WatchObservation watch = catalog_watch(loop, 0);
+    apply(watch);
+    loop.offer(core::TwinEvent::watch_report(6, 3.0, watch));
+  }
+  loop.offer(core::TwinEvent::watch_report(7, 3.5, catalog_watch(loop, 1)));
+  ASSERT_NO_THROW(loop.advance_to(10.0));
+  EXPECT_EQ(loop.stats().events_rejected, corrupt.size());
+  EXPECT_EQ(loop.stats().events_ingested, 13u);
+  EXPECT_TRUE(loop.twins().twin(6).watch().empty());
+  EXPECT_EQ(loop.twins().twin(7).watch().size(), 1u);
+  ASSERT_EQ(sink.reports.size(), 1u);
+  EXPECT_EQ(sink.reports[0].events_rejected,
+            std::optional<std::uint64_t>(corrupt.size()));
+  for (const core::GroupReport& group : sink.groups) {
+    EXPECT_TRUE(std::isfinite(group.predicted_radio_hz));
+  }
+}
+
+TEST(ServeLoop, RejectsUnknownVideoAndCountsIt) {
+  expect_watch_reports_rejected({
+      [](twin::WatchObservation& w) { w.video_id = 3 * video::kCategoryCount; },
+      [](twin::WatchObservation& w) { w.video_id = ~std::uint64_t{0}; },
+  });
+}
+
+TEST(ServeLoop, RejectsWrongOrOutOfRangeCategoryAndCountsIt) {
+  expect_watch_reports_rejected({
+      [](twin::WatchObservation& w) { w.category = static_cast<video::Category>(17); },
+      [](twin::WatchObservation& w) {
+        w.category = static_cast<video::Category>(
+            (static_cast<std::size_t>(w.category) + 1) % video::kCategoryCount);
+      },
+  });
+}
+
+TEST(ServeLoop, RejectsNegativeWatchTimeAndCountsIt) {
+  expect_watch_reports_rejected({
+      [](twin::WatchObservation& w) { w.watch_seconds = -1.0; },
+      [](twin::WatchObservation& w) { w.duration_s = -5.0; },
+  });
+}
+
+TEST(ServeLoop, RejectsWatchFractionOutOfRangeAndCountsIt) {
+  expect_watch_reports_rejected({
+      [](twin::WatchObservation& w) { w.watch_fraction = 3.0; },
+      [](twin::WatchObservation& w) { w.watch_fraction = 1.0 + 1e-8; },
+      [](twin::WatchObservation& w) { w.watch_fraction = -0.1; },
+  });
+}
+
 /// Runs the scripted overload scenario end to end and returns the sink.
 core::CollectingSink run_serve_scenario(std::size_t threads) {
   util::set_thread_count(threads);
@@ -572,6 +648,30 @@ TEST(ServeWorkload, RateMultiplierScalesEventVolume) {
   surging.generate(0.0, 60.0, e_surge);
   EXPECT_GT(e_surge.size(), 2 * e_steady.size());
   EXPECT_THROW(surging.set_rate_multiplier(0.0), util::PreconditionError);
+}
+
+TEST(ServeWorkload, TrafficPassesAdmission) {
+  core::ManualServeClock clock;
+  core::ServeLoop loop(small_serve(24), clock);
+  core::ServeWorkloadConfig cfg;
+  cfg.seed = 3;
+  cfg.user_count = loop.config().scheme.user_count;
+  cfg.engagement = loop.config().scheme.session.engagement;
+  core::ServeWorkload workload(cfg, loop.catalog());
+  workload.set_rate_multiplier(8.0);
+  std::vector<core::TwinEvent> events;
+  std::size_t watches = 0;
+  for (int i = 0; i < 3; ++i) {
+    events.clear();
+    workload.generate(10.0 * i, 10.0 * (i + 1), events);
+    for (const core::TwinEvent& e : events) {
+      watches += e.kind == core::TwinEvent::Kind::kWatch ? 1 : 0;
+      loop.offer(e);
+    }
+    loop.advance_to(10.0 * (i + 1));
+  }
+  EXPECT_GT(watches, 0u);
+  EXPECT_EQ(loop.stats().events_rejected, 0u);
 }
 
 // -------------------------------------------------------------- serve_loader
