@@ -1,8 +1,9 @@
 #include "cli/scenario_loader.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <utility>
 
-#include "core/pipeline.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::cli {
@@ -20,22 +21,38 @@ std::string join(const std::vector<std::string>& items) {
   return out;
 }
 
-/// Non-empty stage keys must resolve in the registry *before* the run, so a
-/// config typo fails with the key list instead of N intervals in.
-void check_stage_keys(const core::SchemeConfig& base) {
+/// Stage keys must resolve in the registry *before* the run, so a config
+/// typo fails with the key list instead of N intervals in.
+void check_stage_keys(const std::vector<std::string>& features,
+                      const std::string& grouping, const std::string& demand) {
   const core::StageRegistry& registry = core::StageRegistry::instance();
-  if (!base.feature_stage.empty() && !registry.has_feature(base.feature_stage)) {
-    throw util::RuntimeError("unknown feature stage '" + base.feature_stage +
-                             "' (known: " + join(registry.feature_keys()) + ")");
+  const auto check = [](const char* kind, const std::string& key, bool known,
+                        const std::vector<std::string>& keys) {
+    if (!known) {
+      throw util::RuntimeError(std::string("unknown ") + kind + " stage '" +
+                               key + "' (known: " + join(keys) + ")");
+    }
+  };
+  for (const std::string& feature : features) {
+    check("feature", feature, registry.has_feature(feature),
+          registry.feature_keys());
   }
-  if (!base.grouping_stage.empty() &&
-      !registry.has_grouping(base.grouping_stage)) {
-    throw util::RuntimeError("unknown grouping stage '" + base.grouping_stage +
-                             "' (known: " + join(registry.grouping_keys()) + ")");
-  }
-  if (!base.demand_stage.empty() && !registry.has_demand(base.demand_stage)) {
-    throw util::RuntimeError("unknown demand stage '" + base.demand_stage +
-                             "' (known: " + join(registry.demand_keys()) + ")");
+  check("grouping", grouping, registry.has_grouping(grouping),
+        registry.grouping_keys());
+  check("demand", demand, registry.has_demand(demand), registry.demand_keys());
+}
+
+void read_run_settings(util::Config& config, RunSettings& run) {
+  run.threads = config.get_size_or("run.threads", 0);
+  run.report_path = config.get_or("run.report", "");
+}
+
+/// Called last: any key no getter read is a typo or belongs to the other
+/// plan kind.
+void reject_unread_keys(const util::Config& config) {
+  const std::vector<std::string> unread = config.unread_keys();
+  if (!unread.empty()) {
+    throw util::RuntimeError("unknown config keys: " + join(unread));
   }
 }
 
@@ -57,8 +74,7 @@ core::ScenarioKind parse_scenario_kind(const std::string& name) {
 
 SimPlan load_plan(util::Config& config) {
   SimPlan plan;
-  plan.threads = config.get_size_or("run.threads", 0);
-  plan.report_path = config.get_or("run.report", "");
+  read_run_settings(config, plan);
 
   // Grid dimensions: a [grid] list when present, otherwise the single value
   // from [scenario]/[stages] (empty stage key = the paper default wiring).
@@ -178,7 +194,8 @@ SimPlan load_plan(util::Config& config) {
               base.demand_stage = demand;
             }
             base.fixed_k = config.get_size_or("stages.fixed_k", base.fixed_k);
-            check_stage_keys(base);
+            check_stage_keys({base.feature_stage}, base.grouping_stage,
+                             base.demand_stage);
 
             SimJob job;
             job.label = kind_name;
@@ -204,13 +221,152 @@ SimPlan load_plan(util::Config& config) {
     }
   }
 
-  const std::vector<std::string> unread = config.unread_keys();
-  if (!unread.empty()) {
-    std::string message = "unknown config keys: ";
-    message += join(unread);
-    throw util::RuntimeError(message);
-  }
+  reject_unread_keys(config);
   return plan;
+}
+
+core::DegradationLevel parse_ladder_level(const std::string& item) {
+  core::DegradationLevel level;
+  level.name = item;
+  const std::size_t colon = item.find(':');
+  if (colon == std::string::npos) {
+    level.feature_stage = item;
+    level.full_extraction = false;
+  } else {
+    level.feature_stage = item.substr(0, colon);
+    const std::string mode = item.substr(colon + 1);
+    if (mode == "full") {
+      level.full_extraction = true;
+    } else if (mode == "incremental") {
+      level.full_extraction = false;
+    } else {
+      throw util::RuntimeError("serve.ladder item '" + item +
+                               "': expected 'key', 'key:full' or "
+                               "'key:incremental'");
+    }
+  }
+  if (level.feature_stage.empty()) {
+    throw util::RuntimeError("serve.ladder item '" + item +
+                             "' has an empty stage key");
+  }
+  return level;
+}
+
+ServePlan load_serve_plan(util::Config& config) {
+  ServePlan plan;
+  read_run_settings(config, plan);
+
+  core::SchemeConfig& scheme = plan.serve.scheme;
+  scheme.seed = config.get_uint64_or("serve.seed", scheme.seed);
+  scheme.user_count = config.get_size_or("serve.user_count", 240);
+  scheme.interval_s = config.get_double_or("serve.interval_s", 10.0);
+  scheme.demand.interval_s = scheme.interval_s;
+  // The serve loop never runs the tick simulator, but scheme validation
+  // requires tick_s <= interval_s; keep it consistent for short intervals.
+  scheme.tick_s = std::min(scheme.tick_s, scheme.interval_s);
+  scheme.warmup_intervals = 0;
+  scheme.feature_window_s =
+      config.get_double_or("serve.feature_window_s", scheme.feature_window_s);
+  scheme.feature_timesteps =
+      config.get_size_or("serve.feature_timesteps", scheme.feature_timesteps);
+  scheme.grouping_stage = config.get_or("serve.grouping", scheme.grouping_stage);
+  scheme.demand_stage = config.get_or("serve.demand", scheme.demand_stage);
+  scheme.fixed_k = config.get_size_or("serve.fixed_k", scheme.fixed_k);
+  scheme.session.engagement.catalog.videos_per_category = config.get_size_or(
+      "serve.videos_per_category",
+      scheme.session.engagement.catalog.videos_per_category);
+
+  plan.intervals = config.get_size_or("serve.intervals", plan.intervals);
+  if (plan.intervals == 0) {
+    throw util::RuntimeError("serve.intervals must be positive");
+  }
+  plan.serve.deadline_ms = config.get_double_or("serve.deadline_ms", 50.0);
+  plan.serve.queue_capacity = config.get_size_or("serve.queue_capacity", 4096);
+
+  const std::vector<std::string> ladder = config.get_list("serve.ladder");
+  if (!ladder.empty()) {
+    plan.serve.degradation.ladder.clear();
+    for (const std::string& item : ladder) {
+      plan.serve.degradation.ladder.push_back(parse_ladder_level(item));
+    }
+  }
+  std::vector<std::string> ladder_features;
+  for (const core::DegradationLevel& level : plan.serve.degradation.ladder) {
+    ladder_features.push_back(level.feature_stage);
+  }
+  check_stage_keys(ladder_features, scheme.grouping_stage, scheme.demand_stage);
+  plan.serve.degradation.step_down_after = config.get_size_or(
+      "serve.step_down_after", plan.serve.degradation.step_down_after);
+  plan.serve.degradation.step_up_after = config.get_size_or(
+      "serve.step_up_after", plan.serve.degradation.step_up_after);
+
+  core::ServeWorkloadConfig& workload = plan.workload;
+  workload.seed = config.get_uint64_or("workload.seed", workload.seed);
+  workload.user_count = scheme.user_count;
+  workload.channel_period_s =
+      config.get_double_or("workload.channel_period_s", workload.channel_period_s);
+  workload.location_period_s = config.get_double_or("workload.location_period_s",
+                                                    workload.location_period_s);
+  workload.watch_period_s =
+      config.get_double_or("workload.watch_period_s", workload.watch_period_s);
+  workload.affinity_concentration = config.get_double_or(
+      "workload.affinity_concentration", workload.affinity_concentration);
+  // The workload samples videos from the loop's catalog, so share its
+  // generation parameters; the walk extent matches the feature scaling.
+  workload.engagement = scheme.session.engagement;
+  workload.extent_x = plan.serve.scaling.pos_x_scale;
+  workload.extent_y = plan.serve.scaling.pos_y_scale;
+
+  plan.overload_start = config.get_size_or("workload.overload_start", 0);
+  plan.overload_intervals = config.get_size_or("workload.overload_intervals", 0);
+  plan.overload_multiplier =
+      config.get_double_or("workload.overload_multiplier", 1.0);
+  if (plan.overload_intervals > 0) {
+    if (plan.overload_multiplier <= 0.0) {
+      throw util::RuntimeError("workload.overload_multiplier must be positive");
+    }
+    if (plan.overload_start >= plan.intervals) {
+      throw util::RuntimeError(
+          "workload.overload_start (" + std::to_string(plan.overload_start) +
+          ") must be below serve.intervals (" + std::to_string(plan.intervals) +
+          "), or the overload window never fires");
+    }
+  }
+
+  core::validate(plan.serve);
+  reject_unread_keys(config);
+  return plan;
+}
+
+ServeRun run_serve(const ServePlan& plan, core::ServeClock& clock,
+                   core::ReportSink* sink) {
+  core::ServeLoop loop(plan.serve, clock, sink);
+  core::ServeWorkload workload(plan.workload, loop.catalog());
+
+  const double interval_s = plan.serve.scheme.interval_s;
+  std::vector<core::TwinEvent> events;
+  const auto started = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < plan.intervals; ++i) {
+    const bool overload = plan.overload_intervals > 0 &&
+                          i >= plan.overload_start &&
+                          i < plan.overload_start + plan.overload_intervals;
+    workload.set_rate_multiplier(overload ? plan.overload_multiplier : 1.0);
+    events.clear();
+    workload.generate(static_cast<double>(i) * interval_s,
+                      static_cast<double>(i + 1) * interval_s, events);
+    for (const core::TwinEvent& event : events) {
+      loop.offer(event);
+    }
+    loop.advance_to(static_cast<double>(i + 1) * interval_s);
+  }
+
+  ServeRun run;
+  run.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+          .count();
+  run.stats = loop.stats();
+  run.final_level = loop.degradation().level();
+  return run;
 }
 
 }  // namespace dtmsv::cli

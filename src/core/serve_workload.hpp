@@ -1,8 +1,8 @@
 // Deterministic synthetic twin-report traffic for the serving mode: what
 // the edge would receive from `user_count` handsets reporting channel
 // quality at ~1 Hz, positions every few seconds, and finished views as they
-// happen. Drives tools/dtmsv_serve.cpp and bench_serve; tests use it to
-// overload a ServeLoop reproducibly.
+// happen. Drives cli::run_serve (the dtmsv CLI and bench_serve); tests
+// use it to overload a ServeLoop reproducibly.
 //
 // Everything is derived from per-user forked RNG streams, so the event
 // stream for a given (config, catalog) is bit-identical across runs and

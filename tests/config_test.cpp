@@ -1,4 +1,4 @@
-// Unit tests for util::Config (the INI parser behind the dtmsv_sim CLI) and
+// Unit tests for util::Config (the INI parser behind the dtmsv CLI) and
 // cli::load_plan (config text -> scenario jobs): parse/round-trip behaviour,
 // typed getters, malformed-input errors, grid expansion, stage-key and
 // unknown-key validation.

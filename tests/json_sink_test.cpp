@@ -2,7 +2,7 @@
 // records a CollectingSink observes on the same run, with numeric fields
 // that parse back to the in-process doubles bit-for-bit (full round-trip
 // precision) — the property the CLI/CI path relies on when aggregate stats
-// from dtmsv_sim artifacts are compared against in-process runs.
+// from dtmsv artifacts are compared against in-process runs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

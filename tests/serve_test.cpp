@@ -2,8 +2,8 @@
 // bookkeeping, ServeLoop deadline/degradation behaviour under a scripted
 // ManualServeClock (bit-deterministic for any DTMSV_THREADS — the wall
 // clock only decides fidelity, never arithmetic), ServeWorkload
-// reproducibility, a pinned golden of the paper wiring, and the [serve]
-// config loader.
+// reproducibility, a pinned golden of the paper wiring, the [serve]
+// config loader, and the cli::run_serve driver loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "cli/serve_loader.hpp"
+#include "cli/scenario_loader.hpp"
 #include "core/event_queue.hpp"
 #include "core/pipeline.hpp"
 #include "core/serve.hpp"
@@ -748,6 +748,41 @@ TEST(ServeLoader, RejectsUnknownKeysAndStages) {
   util::Config bad_ladder =
       util::Config::parse("[serve]\nladder = cnn, warp-drive\n");
   EXPECT_THROW(cli::load_serve_plan(bad_ladder), util::RuntimeError);
+
+  // An overload window starting at or after the last interval never fires.
+  util::Config late_window = util::Config::parse(
+      "[serve]\nintervals = 4\n"
+      "[workload]\noverload_start = 4\noverload_intervals = 2\n");
+  EXPECT_THROW(cli::load_serve_plan(late_window), util::RuntimeError);
+}
+
+// ---------------------------------------------------------------- run_serve
+
+TEST(RunServe, ShedsOnlyInsideTheOverloadWindow) {
+  util::Config config = util::Config::parse(kServeIni);
+  cli::ServePlan plan = cli::load_serve_plan(config);
+  // Nominal traffic (~180 reports per interval) fits the 512-slot queue;
+  // the 6x surge over intervals 2..3 does not.
+  ASSERT_EQ(plan.serve.queue_capacity, 512u);
+  ASSERT_EQ(plan.overload_start, 2u);
+  ASSERT_EQ(plan.overload_intervals, 2u);
+
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  const cli::ServeRun run = cli::run_serve(plan, clock, &sink);
+
+  EXPECT_EQ(run.stats.intervals, plan.intervals);
+  EXPECT_EQ(sink.reports.size(), plan.intervals);
+  ASSERT_FALSE(sink.drops.empty());
+  std::uint64_t dropped = 0;
+  for (const core::DropEvent& drop : sink.drops) {
+    EXPECT_GE(drop.interval, plan.overload_start);
+    EXPECT_LT(drop.interval, plan.overload_start + plan.overload_intervals);
+    EXPECT_EQ(drop.queue_capacity, plan.serve.queue_capacity);
+    dropped += drop.dropped;
+  }
+  EXPECT_EQ(dropped, run.stats.events_dropped);
+  EXPECT_EQ(run.stats.events_rejected, 0u);
 }
 
 }  // namespace
