@@ -225,33 +225,6 @@ SimPlan load_plan(util::Config& config) {
   return plan;
 }
 
-core::DegradationLevel parse_ladder_level(const std::string& item) {
-  core::DegradationLevel level;
-  level.name = item;
-  const std::size_t colon = item.find(':');
-  if (colon == std::string::npos) {
-    level.feature_stage = item;
-    level.full_extraction = false;
-  } else {
-    level.feature_stage = item.substr(0, colon);
-    const std::string mode = item.substr(colon + 1);
-    if (mode == "full") {
-      level.full_extraction = true;
-    } else if (mode == "incremental") {
-      level.full_extraction = false;
-    } else {
-      throw util::RuntimeError("serve.ladder item '" + item +
-                               "': expected 'key', 'key:full' or "
-                               "'key:incremental'");
-    }
-  }
-  if (level.feature_stage.empty()) {
-    throw util::RuntimeError("serve.ladder item '" + item +
-                             "' has an empty stage key");
-  }
-  return level;
-}
-
 ServePlan load_serve_plan(util::Config& config) {
   ServePlan plan;
   read_run_settings(config, plan);
@@ -283,18 +256,22 @@ ServePlan load_serve_plan(util::Config& config) {
   plan.serve.deadline_ms = config.get_double_or("serve.deadline_ms", 50.0);
   plan.serve.queue_capacity = config.get_size_or("serve.queue_capacity", 4096);
 
+  // A ladder item is a feature key and names its own rung. Two rungs with
+  // one key would do the same work, so stepping between them buys nothing.
   const std::vector<std::string> ladder = config.get_list("serve.ladder");
-  if (!ladder.empty()) {
-    plan.serve.degradation.ladder.clear();
-    for (const std::string& item : ladder) {
-      plan.serve.degradation.ladder.push_back(parse_ladder_level(item));
+  for (auto it = ladder.begin(); it != ladder.end(); ++it) {
+    if (std::find(ladder.begin(), it, *it) != it) {
+      throw util::RuntimeError("serve.ladder lists feature stage '" + *it +
+                               "' twice");
     }
   }
-  std::vector<std::string> ladder_features;
-  for (const core::DegradationLevel& level : plan.serve.degradation.ladder) {
-    ladder_features.push_back(level.feature_stage);
+  check_stage_keys(ladder, scheme.grouping_stage, scheme.demand_stage);
+  if (!ladder.empty()) {
+    plan.serve.degradation.ladder.clear();
+    for (const std::string& key : ladder) {
+      plan.serve.degradation.ladder.push_back({key, key});
+    }
   }
-  check_stage_keys(ladder_features, scheme.grouping_stage, scheme.demand_stage);
   plan.serve.degradation.step_down_after = config.get_size_or(
       "serve.step_down_after", plan.serve.degradation.step_down_after);
   plan.serve.degradation.step_up_after = config.get_size_or(

@@ -88,13 +88,10 @@ core::ScenarioKind parse_scenario_kind(const std::string& name);
 /// range-checked by core::validate at Simulation construction.
 SimPlan load_plan(util::Config& config);
 
-/// Parses the ladder item syntax "key" or "key:full" (e.g. "cnn:full, cnn,
-/// summary"); the rung name is the item text itself.
-core::DegradationLevel parse_ladder_level(const std::string& item);
-
-/// Builds the serve plan, validating everything (registry keys, ladder
-/// syntax, positive budgets, an overload window that fires) and throwing
-/// util::RuntimeError on unknown keys.
+/// Builds the serve plan, validating everything (registry keys, a ladder
+/// of distinct feature keys, positive budgets, an overload window that
+/// fires) and throwing util::RuntimeError on unknown keys. Each ladder
+/// item is a feature key and names its rung.
 ServePlan load_serve_plan(util::Config& config);
 
 /// Outcome of run_serve: the loop's counters, the ladder rung it ended on,

@@ -11,11 +11,7 @@ namespace dtmsv::core {
 // ------------------------------------------------------------- degradation
 
 std::vector<DegradationLevel> DegradationPolicyConfig::default_ladder() {
-  return {
-      {"cnn_full", "cnn", /*full_extraction=*/true},
-      {"cnn_incremental", "cnn", /*full_extraction=*/false},
-      {"summary", "summary", /*full_extraction=*/false},
-  };
+  return {{"cnn", "cnn"}, {"summary", "summary"}};
 }
 
 DegradationPolicy::DegradationPolicy(DegradationPolicyConfig config)
@@ -225,9 +221,10 @@ void ServeLoop::report_drops() {
 void ServeLoop::snapshot_preferences(util::SimTime at) {
   // The collector-side preference rows the batch loop records every
   // visibility period: one estimator snapshot per user that accumulated
-  // watch evidence since the last one. Clean users are skipped so their
-  // revision watermarks hold and incremental extraction can reuse their
-  // cached feature rows.
+  // watch evidence since the last one. The rows are twin history: they
+  // feed the preference channels of the feature windows and the summary
+  // rows' preference vector, so which users get one decides the
+  // predictions. A user without new evidence gets none, as in batch mode.
   twin::TwinColumnStore& columns = twins_->columns();
   for (std::size_t u = 0; u < preference_dirty_.size(); ++u) {
     if (preference_dirty_[u] != 0) {
@@ -254,7 +251,6 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   snapshot.timesteps = config_.scheme.feature_timesteps;
   snapshot.scaling = config_.scaling;
   snapshot.arena = &arena_;
-  snapshot.force_full = rung.full_extraction;
   const double t0 = clock_->now_s();
   const PredictionPass pass = predict_groups(
       snapshot, *feature_stages_[level], *grouping_stage_, *demand_stage_,

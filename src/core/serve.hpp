@@ -17,12 +17,11 @@
 // bit-deterministic for any DTMSV_THREADS — the wall clock only ever
 // decides *fidelity*, never arithmetic). A DegradationPolicy folds the
 // hit/miss stream into a position on a fidelity ladder; each rung names a
-// FeatureStage registry key plus an extraction mode, so degrading under
-// load is a pure key swap through the StageRegistry (cnn+full ->
-// cnn-incremental -> summary by default) and recovery steps back up after
-// sustained hits. Every transition and every drop batch streams through
-// the ReportSink interface (on_degradation / on_drop) next to the ordinary
-// group/interval reports.
+// FeatureStage registry key, so degrading under load is a pure key swap
+// through the StageRegistry (cnn -> summary by default) and recovery steps
+// back up after sustained hits. Every transition and every drop batch
+// streams through the ReportSink interface (on_degradation / on_drop) next
+// to the ordinary group/interval reports.
 #pragma once
 
 #include <cstddef>
@@ -101,17 +100,18 @@ class ManualServeClock final : public ServeClock {
 
 /// One rung of the fidelity ladder. Rung 0 is full fidelity; higher rungs
 /// trade prediction quality for latency by swapping the feature-stage
-/// registry key and/or the extraction mode.
+/// registry key.
 struct DegradationLevel {
   std::string name;                 // reported through DegradationEvent
   std::string feature_stage = "cnn";  // StageRegistry feature key
-  bool full_extraction = false;     // true: bypass the arena's incremental cache
+  /// Read by nothing: every extraction re-extracts every row. Kept only
+  /// because the frozen perfbench/ driver still initialises it.
+  bool full_extraction = false;
 };
 
 struct DegradationPolicyConfig {
-  /// Rungs ordered best-first. Default: the paper pipeline at full
-  /// re-extraction cost, then incremental extraction, then the cheap
-  /// summary-statistics features.
+  /// Rungs ordered best-first, each named after its feature key. Default:
+  /// the paper's CNN features, then the cheap summary-statistics features.
   std::vector<DegradationLevel> ladder = default_ladder();
   /// Consecutive deadline misses before stepping one rung down.
   std::size_t step_down_after = 1;
@@ -255,8 +255,8 @@ class ServeLoop {
   DegradationPolicy policy_;
   util::Rng cluster_rng_;
   /// Users with watch evidence since their last preference snapshot; only
-  /// these get a record_preference row per interval, so untouched users
-  /// keep clean revision watermarks and stay cacheable incrementally.
+  /// these get a record_preference row per interval (see
+  /// snapshot_preferences).
   std::vector<std::uint8_t> preference_dirty_;
   util::SimTime now_ = 0.0;
   util::IntervalId interval_ = 0;

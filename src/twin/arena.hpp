@@ -1,9 +1,9 @@
 // Pooled extraction buffers and zero-copy batch views for the twin data
-// plane. A FeatureArena (one per Simulation) owns the flat feature-window
-// and summary-feature matrices the per-interval pipeline reads; the
-// TwinColumnStore materialises rows into it incrementally — only users
-// whose histories changed since the arena's last extraction with the same
-// window geometry are re-extracted (see column_store.hpp).
+// plane. A FeatureArena (one per Simulation or ServeLoop) owns the flat
+// feature-window and summary-feature matrices the per-interval pipeline
+// reads; the TwinColumnStore re-extracts every user's row into it on each
+// call (see column_store.hpp), so a batch costs no allocation once the
+// buffers have grown to the population.
 //
 // Aliasing rules for stage authors: WindowBatch / SummaryBatch are
 // non-owning views into the arena, valid until the next extraction call
@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,15 +22,12 @@ namespace dtmsv::twin {
 
 class TwinColumnStore;
 
-/// Geometry of a feature-window extraction: the cache key deciding whether
-/// an arena row can be reused for an unchanged user.
+/// Geometry of a feature-window extraction.
 struct WindowSpec {
   util::SimTime now = 0.0;
   double window_s = 0.0;
   std::size_t timesteps = 0;
   FeatureScaling scaling{};
-
-  friend bool operator==(const WindowSpec&, const WindowSpec&) = default;
 };
 
 /// Geometry of a summary-feature extraction.
@@ -39,15 +35,14 @@ struct SummarySpec {
   util::SimTime now = 0.0;
   double window_s = 0.0;
   FeatureScaling scaling{};
-
-  friend bool operator==(const SummarySpec&, const SummarySpec&) = default;
 };
 
-/// What the last extraction actually did (observability for tests/benches:
-/// the incremental path must only refresh dirty users).
+/// Rows the last extraction wrote. Every call extracts every user, so
+/// `refreshed` is the population and `reused` is always 0; the pair stays
+/// because the frozen perfbench/ tracer reads it.
 struct ExtractStats {
-  std::size_t refreshed = 0;  // rows re-extracted this call
-  std::size_t reused = 0;     // rows served from the arena cache
+  std::size_t refreshed = 0;  // rows extracted by the last call
+  std::size_t reused = 0;     // always 0
 };
 
 /// Flat [users x channels*timesteps] float view over the arena.
@@ -93,20 +88,12 @@ class SummaryBatch {
   std::size_t dim_ = 0;
 };
 
-/// Reusable extraction buffers plus the cache metadata (spec + per-user
-/// revision watermarks) that makes extraction incremental. Owned by the
-/// consumer (core::Simulation owns one per cell); an arena is bound to
-/// whichever store extracted into it last and revalidates automatically
-/// when the store, geometry, or population changes.
+/// Reusable extraction buffers, owned by the consumer (core::Simulation
+/// owns one per cell, core::ServeLoop one per loop). Any store may extract
+/// into any arena; each call overwrites the rows it returns.
 class FeatureArena {
  public:
   FeatureArena() = default;
-
-  /// Drops cache validity; the next extraction re-extracts every user.
-  void invalidate() {
-    windows_valid_ = false;
-    summaries_valid_ = false;
-  }
 
   const ExtractStats& window_stats() const { return window_stats_; }
   const ExtractStats& summary_stats() const { return summary_stats_; }
@@ -116,17 +103,6 @@ class FeatureArena {
 
   std::vector<float> windows_;
   std::vector<double> summaries_;
-  std::vector<std::uint64_t> window_revisions_;
-  std::vector<std::uint64_t> summary_revisions_;
-  WindowSpec window_spec_{};
-  SummarySpec summary_spec_{};
-  // Stores are identified by their process-unique id, not their address —
-  // a successor store can reuse a freed store's address (ABA) but never
-  // its id, so a long-lived arena can never serve a dead store's rows.
-  std::uint64_t window_store_id_ = 0;
-  std::uint64_t summary_store_id_ = 0;
-  bool windows_valid_ = false;
-  bool summaries_valid_ = false;
   ExtractStats window_stats_{};
   ExtractStats summary_stats_{};
 };

@@ -1,7 +1,6 @@
 #include "twin/column_store.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -12,9 +11,9 @@ namespace dtmsv::twin {
 
 namespace {
 
-/// Extraction rows shorter than this run inline; longer dirty lists split
-/// across the pool (each row is written by exactly one worker, so the
-/// bytes are identical for any DTMSV_THREADS).
+/// Populations smaller than this extract inline; larger ones split across
+/// the pool (each row is written by exactly one worker, so the bytes are
+/// identical for any DTMSV_THREADS).
 constexpr std::size_t kExtractGrain = 8;
 
 void validate_window_spec(const WindowSpec& spec) {
@@ -51,15 +50,6 @@ struct TwinColumnStore::RowScratch {
   }
 };
 
-namespace {
-
-std::uint64_t next_store_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
-
 ColumnCapacities ColumnCapacities::scaled(std::size_t history_capacity) {
   const auto lane = [history_capacity](std::size_t divisor) {
     return std::min(history_capacity,
@@ -73,13 +63,11 @@ TwinColumnStore::TwinColumnStore(std::size_t user_count, std::size_t history_cap
 
 TwinColumnStore::TwinColumnStore(std::size_t user_count,
                                  const ColumnCapacities& capacities)
-    : store_id_(next_store_id()),
-      channel_(user_count, capacities.channel),
+    : channel_(user_count, capacities.channel),
       location_(user_count, capacities.location),
       watch_(user_count, capacities.watch),
       preference_(user_count, capacities.preference),
-      estimators_(user_count),
-      revisions_(user_count, 0) {
+      estimators_(user_count) {
   DTMSV_EXPECTS(user_count > 0);
 }
 
@@ -87,14 +75,12 @@ void TwinColumnStore::record_channel(std::size_t u, util::SimTime t,
                                      const ChannelObservation& obs) {
   DTMSV_EXPECTS(u < user_count());
   channel_.record(u, t, obs);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::record_location(std::size_t u, util::SimTime t,
                                       const mobility::Position& pos) {
   DTMSV_EXPECTS(u < user_count());
   location_.record(u, t, pos);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::record_watch(std::size_t u, util::SimTime t,
@@ -102,26 +88,22 @@ void TwinColumnStore::record_watch(std::size_t u, util::SimTime t,
   DTMSV_EXPECTS(u < user_count());
   estimators_[u].observe(obs.category, obs.watch_seconds);
   watch_.record(u, t, obs);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::record_preference(std::size_t u, util::SimTime t,
                                         const behavior::PreferenceVector& estimate) {
   DTMSV_EXPECTS(u < user_count());
   preference_.record(u, t, estimate);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::decay_preference(std::size_t u) {
   DTMSV_EXPECTS(u < user_count());
   estimators_[u].decay();
-  ++revisions_[u];
 }
 
 void TwinColumnStore::decay_preferences() {
-  for (std::size_t u = 0; u < user_count(); ++u) {
-    estimators_[u].decay();
-    ++revisions_[u];
+  for (behavior::PreferenceEstimator& estimator : estimators_) {
+    estimator.decay();
   }
 }
 
@@ -132,7 +114,6 @@ void TwinColumnStore::reset_user(std::size_t u) {
   watch_.clear_user(u);
   preference_.clear_user(u);
   estimators_[u] = behavior::PreferenceEstimator{};
-  ++revisions_[u];
 }
 
 void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
@@ -299,92 +280,36 @@ void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec
   }
 }
 
-namespace {
-
-/// The shared incremental-refresh machinery behind both batch extractions:
-/// validate the arena cache (same store generation, same geometry, same
-/// population), build the dirty-user list, re-extract dirty rows on the
-/// pool (disjoint rows — bit-identical for any thread count), and rebind
-/// the cache metadata. `make_row_fn()` is invoked once per worker chunk so
-/// row extractors can carry per-chunk scratch.
-template <typename Value, typename MakeRowFn>
-void refresh_rows(const std::vector<std::uint64_t>& store_revisions,
-                  std::uint64_t store_id, std::size_t width, bool force_full,
-                  bool same_geometry, std::vector<Value>& buffer,
-                  std::vector<std::uint64_t>& cached_revisions, bool& valid,
-                  std::uint64_t& bound_store_id, ExtractStats& stats,
-                  const MakeRowFn& make_row_fn) {
-  const std::size_t users = store_revisions.size();
-  const bool cache_usable = !force_full && valid && bound_store_id == store_id &&
-                            same_geometry && buffer.size() == users * width &&
-                            cached_revisions.size() == users;
-  buffer.resize(users * width);
-  cached_revisions.resize(users);
-
-  std::vector<std::size_t> dirty;
-  if (cache_usable) {
-    for (std::size_t u = 0; u < users; ++u) {
-      if (cached_revisions[u] != store_revisions[u]) {
-        dirty.push_back(u);
-      }
-    }
-  } else {
-    dirty.resize(users);
-    for (std::size_t u = 0; u < users; ++u) {
-      dirty[u] = u;
-    }
-  }
-
-  Value* data = buffer.data();
-  util::parallel_for(0, dirty.size(), kExtractGrain,
-                     [&](std::size_t begin, std::size_t end) {
-                       auto extract_row = make_row_fn();
-                       for (std::size_t i = begin; i < end; ++i) {
-                         const std::size_t u = dirty[i];
-                         extract_row(u, data + u * width);
-                         cached_revisions[u] = store_revisions[u];
-                       }
-                     });
-
-  bound_store_id = store_id;
-  valid = true;
-  stats = {dirty.size(), users - dirty.size()};
-}
-
-}  // namespace
-
 WindowBatch TwinColumnStore::feature_windows(const WindowSpec& spec,
-                                             FeatureArena& arena,
-                                             bool force_full) const {
+                                             FeatureArena& arena) const {
   validate_window_spec(spec);
+  const std::size_t users = user_count();
   const std::size_t width = kFeatureChannels * spec.timesteps;
-  refresh_rows(revisions_, store_id_, width, force_full,
-               arena.window_spec_ == spec, arena.windows_,
-               arena.window_revisions_, arena.windows_valid_,
-               arena.window_store_id_, arena.window_stats_, [&] {
-                 return [this, &spec, scratch = RowScratch{}](
-                            std::size_t u, float* out) mutable {
-                   extract_window_row(u, spec, out, scratch);
-                 };
-               });
-  arena.window_spec_ = spec;
-  return WindowBatch(arena.windows_.data(), user_count(), width);
+  arena.windows_.resize(users * width);
+  float* data = arena.windows_.data();
+  util::parallel_for(0, users, kExtractGrain, [&](std::size_t begin, std::size_t end) {
+    RowScratch scratch;
+    for (std::size_t u = begin; u < end; ++u) {
+      extract_window_row(u, spec, data + u * width, scratch);
+    }
+  });
+  arena.window_stats_ = {users, 0};
+  return WindowBatch(data, users, width);
 }
 
 SummaryBatch TwinColumnStore::summary_features(const SummarySpec& spec,
-                                               FeatureArena& arena,
-                                               bool force_full) const {
+                                               FeatureArena& arena) const {
   DTMSV_EXPECTS(spec.window_s > 0.0);
-  refresh_rows(revisions_, store_id_, kSummaryDim, force_full,
-               arena.summary_spec_ == spec, arena.summaries_,
-               arena.summary_revisions_, arena.summaries_valid_,
-               arena.summary_store_id_, arena.summary_stats_, [&] {
-                 return [this, &spec](std::size_t u, double* out) {
-                   extract_summary_row(u, spec, out);
-                 };
-               });
-  arena.summary_spec_ = spec;
-  return SummaryBatch(arena.summaries_.data(), user_count(), kSummaryDim);
+  const std::size_t users = user_count();
+  arena.summaries_.resize(users * kSummaryDim);
+  double* data = arena.summaries_.data();
+  util::parallel_for(0, users, kExtractGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      extract_summary_row(u, spec, data + u * kSummaryDim);
+    }
+  });
+  arena.summary_stats_ = {users, 0};
+  return SummaryBatch(data, users, kSummaryDim);
 }
 
 }  // namespace dtmsv::twin

@@ -449,7 +449,7 @@ core::ServeConfig pass_serve_config(const std::string& grouping_stage) {
   cfg.scheme.feature_timesteps = 8;
   cfg.scheme.session.engagement.catalog.videos_per_category = 3;
   cfg.scheme.grouping_stage = grouping_stage;
-  cfg.degradation.ladder = {{"summary", "summary", /*full_extraction=*/false}};
+  cfg.degradation.ladder = {{"summary", "summary"}};
   return cfg;
 }
 

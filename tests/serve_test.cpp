@@ -81,14 +81,20 @@ TEST(EventQueue, RejectsOutOfOrderPushAndZeroCapacity) {
 
 // ------------------------------------------------------ DegradationPolicy
 
+/// Three rungs of distinct feature keys, each named after its key.
+std::vector<core::DegradationLevel> three_rung_ladder() {
+  return {{"cnn", "cnn"}, {"raw", "raw"}, {"summary", "summary"}};
+}
+
 TEST(DegradationPolicy, StepsDownOneRungPerMissStreak) {
-  core::DegradationPolicyConfig cfg;  // default 3-rung ladder
+  core::DegradationPolicyConfig cfg;
+  cfg.ladder = three_rung_ladder();
   cfg.step_down_after = 2;
   core::DegradationPolicy policy(cfg);
   EXPECT_EQ(policy.level(), 0u);
   EXPECT_EQ(policy.record(false), std::nullopt);  // 1 miss: below threshold
   EXPECT_EQ(policy.record(false), std::optional<std::size_t>(1));
-  EXPECT_EQ(policy.current().name, "cnn_incremental");
+  EXPECT_EQ(policy.current().name, "raw");
   // The counter resets after a transition: two more misses for the next rung.
   EXPECT_EQ(policy.record(false), std::nullopt);
   EXPECT_EQ(policy.record(false), std::optional<std::size_t>(2));
@@ -101,6 +107,7 @@ TEST(DegradationPolicy, StepsDownOneRungPerMissStreak) {
 
 TEST(DegradationPolicy, RecoversAfterSustainedHitsAndClampsAtTop) {
   core::DegradationPolicyConfig cfg;
+  cfg.ladder = three_rung_ladder();
   cfg.step_down_after = 1;
   cfg.step_up_after = 3;
   core::DegradationPolicy policy(cfg);
@@ -186,6 +193,7 @@ void offer_reports(core::ServeLoop& loop, double t, std::size_t count) {
 
 TEST(ServeLoop, DegradesDownTheLadderInOrderUnderOverload) {
   core::ServeConfig cfg = small_serve();
+  cfg.degradation.ladder = three_rung_ladder();
   core::ManualServeClock clock;
   core::CollectingSink sink;
   core::ServeLoop loop(cfg, clock, &sink);
@@ -201,25 +209,26 @@ TEST(ServeLoop, DegradesDownTheLadderInOrderUnderOverload) {
   }
 
   // step_down_after = 1: each miss steps exactly one rung, in ladder order
-  // cnn_full -> cnn_incremental -> summary.
+  // cnn -> raw -> summary.
   ASSERT_EQ(sink.degradations.size(), 2u);
-  EXPECT_EQ(sink.degradations[0].from_name, "cnn_full");
-  EXPECT_EQ(sink.degradations[0].to_name, "cnn_incremental");
+  EXPECT_EQ(sink.degradations[0].from_name, "cnn");
+  EXPECT_EQ(sink.degradations[0].to_name, "raw");
   EXPECT_EQ(sink.degradations[0].interval, 0u);
   EXPECT_FALSE(sink.degradations[0].recovering);
   EXPECT_DOUBLE_EQ(sink.degradations[0].latency_ms, 200.0);
   EXPECT_DOUBLE_EQ(sink.degradations[0].deadline_ms, 50.0);
-  EXPECT_EQ(sink.degradations[1].from_name, "cnn_incremental");
+  EXPECT_EQ(sink.degradations[1].from_name, "raw");
   EXPECT_EQ(sink.degradations[1].to_name, "summary");
   EXPECT_EQ(loop.degradation().level(), 2u);
   EXPECT_EQ(loop.stats().deadline_misses, 3u);
   EXPECT_EQ(loop.stats().steps_down, 2u);
 
-  // The cnn intervals carry a real autoencoder reconstruction loss; the
-  // summary rung has none — observable proof the feature stage swapped.
+  // The cnn interval carries a real autoencoder reconstruction loss; the
+  // raw and summary rungs have none — observable proof the feature stage
+  // swapped.
   ASSERT_EQ(sink.reports.size(), 3u);
   EXPECT_GT(sink.reports[0].reconstruction_loss, 0.0f);
-  EXPECT_GT(sink.reports[1].reconstruction_loss, 0.0f);
+  EXPECT_FLOAT_EQ(sink.reports[1].reconstruction_loss, 0.0f);
 
   // One more interval fires on the summary rung (clock now instantaneous).
   offer_reports(loop, 30.0, 6);
@@ -230,6 +239,7 @@ TEST(ServeLoop, DegradesDownTheLadderInOrderUnderOverload) {
 
 TEST(ServeLoop, RecoversUpTheLadderAfterSustainedHits) {
   core::ServeConfig cfg = small_serve();
+  cfg.degradation.ladder = three_rung_ladder();
   cfg.degradation.step_up_after = 2;
   core::ManualServeClock clock;
   core::CollectingSink sink;
@@ -243,17 +253,17 @@ TEST(ServeLoop, RecoversUpTheLadderAfterSustainedHits) {
     loop.advance_to(10.0 * static_cast<double>(i + 1));
   }
 
-  // Intervals 0,1 miss (down to summary); 2..3 hit -> up to cnn_incremental
-  // after interval 3; 4..5 hit -> up to cnn_full after interval 5.
+  // Intervals 0,1 miss (down to summary); 2..3 hit -> up to raw after
+  // interval 3; 4..5 hit -> up to cnn after interval 5.
   ASSERT_EQ(sink.degradations.size(), 4u);
   EXPECT_FALSE(sink.degradations[0].recovering);
   EXPECT_FALSE(sink.degradations[1].recovering);
   EXPECT_TRUE(sink.degradations[2].recovering);
   EXPECT_EQ(sink.degradations[2].from_name, "summary");
-  EXPECT_EQ(sink.degradations[2].to_name, "cnn_incremental");
+  EXPECT_EQ(sink.degradations[2].to_name, "raw");
   EXPECT_EQ(sink.degradations[2].interval, 3u);
   EXPECT_TRUE(sink.degradations[3].recovering);
-  EXPECT_EQ(sink.degradations[3].to_name, "cnn_full");
+  EXPECT_EQ(sink.degradations[3].to_name, "cnn");
   EXPECT_EQ(loop.degradation().level(), 0u);
   EXPECT_EQ(loop.stats().steps_down, 2u);
   EXPECT_EQ(loop.stats().steps_up, 2u);
@@ -523,7 +533,7 @@ struct ServeGoldenInterval {
   double predicted_compute;
 };
 
-/// The paper wiring (cnn + ddqn + joint) on a single `cnn:full` rung, fed
+/// The paper wiring (cnn + ddqn + joint) on a single `cnn` rung, fed
 /// by a seeded ServeWorkload; a ManualServeClock keeps every prediction
 /// instantaneous so the ladder never moves.
 std::vector<core::EpochReport> run_serve_golden_scenario() {
@@ -533,7 +543,7 @@ std::vector<core::EpochReport> run_serve_golden_scenario() {
   cfg.scheme.grouping.k_min = 2;
   cfg.scheme.grouping.k_max = 6;
   cfg.scheme.grouping.ddqn.hidden = {32};
-  cfg.degradation.ladder = {{"cnn_full", "cnn", /*full_extraction=*/true}};
+  cfg.degradation.ladder = {{"cnn", "cnn"}};
   core::ManualServeClock clock;
   core::CollectingSink sink;
   core::ServeLoop loop(cfg, clock, &sink);
@@ -683,7 +693,7 @@ interval_s = 10
 intervals = 6
 deadline_ms = 25
 queue_capacity = 512
-ladder = cnn:full, cnn, summary
+ladder = cnn, raw, summary
 grouping = fixed
 fixed_k = 2
 demand = mean
@@ -708,12 +718,13 @@ TEST(ServeLoader, ParsesFullPlan) {
   EXPECT_EQ(plan.intervals, 6u);
   EXPECT_DOUBLE_EQ(plan.serve.deadline_ms, 25.0);
   EXPECT_EQ(plan.serve.queue_capacity, 512u);
-  ASSERT_EQ(plan.serve.degradation.ladder.size(), 3u);
-  EXPECT_EQ(plan.serve.degradation.ladder[0].feature_stage, "cnn");
-  EXPECT_TRUE(plan.serve.degradation.ladder[0].full_extraction);
-  EXPECT_EQ(plan.serve.degradation.ladder[1].feature_stage, "cnn");
-  EXPECT_FALSE(plan.serve.degradation.ladder[1].full_extraction);
-  EXPECT_EQ(plan.serve.degradation.ladder[2].feature_stage, "summary");
+  // Each ladder item is a feature key and names its rung.
+  const std::vector<std::string> keys = {"cnn", "raw", "summary"};
+  ASSERT_EQ(plan.serve.degradation.ladder.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(plan.serve.degradation.ladder[i].name, keys[i]);
+    EXPECT_EQ(plan.serve.degradation.ladder[i].feature_stage, keys[i]);
+  }
   EXPECT_EQ(plan.serve.scheme.grouping_stage, "fixed");
   EXPECT_EQ(plan.serve.scheme.demand_stage, "mean");
   EXPECT_DOUBLE_EQ(plan.workload.channel_period_s, 2.0);
@@ -722,19 +733,6 @@ TEST(ServeLoader, ParsesFullPlan) {
   EXPECT_EQ(plan.overload_intervals, 2u);
   EXPECT_DOUBLE_EQ(plan.overload_multiplier, 6.0);
   EXPECT_EQ(plan.threads, 1u);
-}
-
-TEST(ServeLoader, ParsesLadderLevelSyntax) {
-  const core::DegradationLevel full = cli::parse_ladder_level("cnn:full");
-  EXPECT_EQ(full.feature_stage, "cnn");
-  EXPECT_TRUE(full.full_extraction);
-  const core::DegradationLevel inc = cli::parse_ladder_level("cnn:incremental");
-  EXPECT_FALSE(inc.full_extraction);
-  const core::DegradationLevel bare = cli::parse_ladder_level("summary");
-  EXPECT_EQ(bare.feature_stage, "summary");
-  EXPECT_FALSE(bare.full_extraction);
-  EXPECT_THROW(cli::parse_ladder_level("cnn:sometimes"), util::RuntimeError);
-  EXPECT_THROW(cli::parse_ladder_level(":full"), util::RuntimeError);
 }
 
 TEST(ServeLoader, RejectsUnknownKeysAndStages) {
@@ -748,6 +746,26 @@ TEST(ServeLoader, RejectsUnknownKeysAndStages) {
   util::Config bad_ladder =
       util::Config::parse("[serve]\nladder = cnn, warp-drive\n");
   EXPECT_THROW(cli::load_serve_plan(bad_ladder), util::RuntimeError);
+
+  // A key listed twice would make a rung that does its neighbour's work.
+  const auto load_error = [](const char* text) {
+    util::Config config = util::Config::parse(text);
+    try {
+      cli::load_serve_plan(config);
+    } catch (const util::RuntimeError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string duplicate =
+      load_error("[serve]\nladder = cnn, summary, cnn\n");
+  EXPECT_NE(duplicate.find("'cnn'"), std::string::npos) << duplicate;
+  EXPECT_NE(duplicate.find("twice"), std::string::npos) << duplicate;
+
+  // The old extraction-mode suffix is not a feature key.
+  const std::string old_syntax = load_error("[serve]\nladder = cnn:full, summary\n");
+  EXPECT_NE(old_syntax.find("unknown feature stage 'cnn:full'"), std::string::npos)
+      << old_syntax;
 
   // An overload window starting at or after the last interval never fires.
   util::Config late_window = util::Config::parse(

@@ -1,13 +1,12 @@
 // Unit tests for dtmsv::twin — the columnar ring-buffer store (series
 // semantics: ordering, eviction, half-open windows, staleness, truncation
-// reporting; SoA layout, slot recycling, incremental arena extraction and
+// reporting; SoA layout, slot recycling, batch arena extraction and
 // its thread-count invariance), UDT feature extraction,
 // the twin store, and the per-attribute collector including loss/latency
 // failure injection.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "behavior/session.hpp"
 #include "mobility/random_waypoint.hpp"
@@ -152,46 +151,6 @@ TEST(TwinColumnStore, BatchRowsMatchPerTwinExtraction) {
   }
 }
 
-TEST(TwinColumnStore, IncrementalExtractionRefreshesOnlyDirtyUsers) {
-  TwinStore store(6);
-  const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
-  for (std::size_t u = 0; u < 6; ++u) {
-    for (int t = 0; t < 50; ++t) {
-      store.twin(u).record_channel(t, {5.0 + static_cast<double>(u), 2.0, 0});
-    }
-  }
-  FeatureArena arena;
-  const WindowSpec spec{50.0, 50.0, 16, scaling};
-  store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 6u);
-  EXPECT_EQ(arena.window_stats().reused, 0u);
-
-  // Unchanged store + unchanged geometry: every row is served from cache.
-  store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 0u);
-  EXPECT_EQ(arena.window_stats().reused, 6u);
-
-  // Touch one user: only that row is re-extracted, and the batch is
-  // bit-identical to a from-scratch full extraction.
-  store.columns().record_channel(2, 49.5, {20.0, 3.0, 0});
-  const WindowBatch incremental = store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 1u);
-  EXPECT_EQ(arena.window_stats().reused, 5u);
-  FeatureArena fresh;
-  const WindowBatch full =
-      store.columns().feature_windows(spec, fresh, /*force_full=*/true);
-  ASSERT_EQ(incremental.size(), full.size());
-  ASSERT_EQ(incremental.window_size(), full.window_size());
-  EXPECT_EQ(std::memcmp(incremental.data(), full.data(),
-                        full.size() * full.window_size() * sizeof(float)),
-            0);
-
-  // Moving the window geometry (a new `now`) invalidates every row.
-  const WindowSpec moved{51.0, 50.0, 16, scaling};
-  store.columns().feature_windows(moved, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 6u);
-}
-
 TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
   TwinStore store(3);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
@@ -215,29 +174,31 @@ TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
   ASSERT_TRUE(any_nonzero);
 
   // Handover: the slot is recycled in place — no history, no estimator
-  // evidence, no stale truncation flag, and the dirty watermark advances.
-  const std::uint64_t rev_before = store.columns().revision(1);
+  // evidence, no stale truncation flag.
   store.reset_user(1);
-  EXPECT_GT(store.columns().revision(1), rev_before);
   EXPECT_TRUE(store.twin(1).channel().empty());
   EXPECT_TRUE(store.twin(1).watch().empty());
   EXPECT_TRUE(store.twin(1).preference().empty());
   EXPECT_DOUBLE_EQ(store.twin(1).preference_estimator().evidence_seconds(), 0.0);
   EXPECT_FALSE(store.twin(1).channel().truncated_before(0.0));
 
-  // The next incremental snapshot must not leak the previous user's rows:
-  // only the recycled slot refreshes, and it refreshes to all-zero.
+  // The next snapshot must not leak the previous user's rows: the
+  // recycled slot's row is all-zero, exactly a never-used slot's row.
   const WindowBatch after = store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 1u);
-  for (const float v : after.row(1)) {
-    EXPECT_EQ(v, 0.0f);
+  TwinStore fresh_store(3);
+  FeatureArena fresh_arena;
+  const WindowBatch fresh = fresh_store.columns().feature_windows(spec, fresh_arena);
+  ASSERT_EQ(after.window_size(), fresh.window_size());
+  for (std::size_t i = 0; i < after.window_size(); ++i) {
+    EXPECT_EQ(after.row(1)[i], 0.0f) << "element " << i;
+    EXPECT_EQ(after.row(1)[i], fresh.row(1)[i]) << "element " << i;
   }
   // Recording for the newcomer restarts cleanly from an empty ring.
   store.twin(1).record_channel(41.0, {12.0, 2.0, 0});
   EXPECT_EQ(store.twin(1).channel().size(), 1u);
 }
 
-TEST(TwinColumnStore, IncrementalExtractionThreadCountInvariant) {
+TEST(TwinColumnStore, BatchExtractionThreadCountInvariant) {
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   const WindowSpec spec{60.0, 60.0, 16, scaling};
   const auto run_with_threads = [&](std::size_t threads) {
@@ -249,11 +210,10 @@ TEST(TwinColumnStore, IncrementalExtractionThreadCountInvariant) {
             t, {5.0 + 0.1 * static_cast<double>(u * 60 + t), 2.0, 0});
       }
     }
-    FeatureArena arena;
-    store.columns().feature_windows(spec, arena);
     for (std::size_t u = 0; u < 64; u += 7) {
       store.columns().record_channel(u, 59.5, {30.0, 5.0, 0});
     }
+    FeatureArena arena;
     const WindowBatch batch = store.columns().feature_windows(spec, arena);
     std::vector<float> bytes(batch.data(),
                              batch.data() + batch.size() * batch.window_size());
