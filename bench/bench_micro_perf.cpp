@@ -26,8 +26,6 @@
 #include "predict/demand.hpp"
 #include "rl/ddqn.hpp"
 #include "twin/column_store.hpp"
-#include "twin/store.hpp"
-#include "twin/udt.hpp"
 #include "util/parallel.hpp"
 #include "wireless/channel.hpp"
 
@@ -85,14 +83,13 @@ std::vector<float> random_window_data(std::size_t n, std::size_t size,
 
 /// Populates a twin store with a paper-shaped 600 s history per user:
 /// 1 Hz channel reports, 0.2 Hz location, sparse watch/preference samples.
-void populate_store(twin::TwinStore& store, util::Rng& rng) {
-  twin::TwinColumnStore& columns = store.columns();
+void populate_store(twin::TwinColumnStore& store, util::Rng& rng) {
   for (std::size_t u = 0; u < store.user_count(); ++u) {
     for (int t = 0; t < 600; ++t) {
-      columns.record_channel(u, t, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
+      store.record_channel(u, t, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
       if (t % 5 == 0) {
-        columns.record_location(u, t,
-                                {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
+        store.record_location(u, t,
+                              {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
       }
       if (t % 20 == 0) {
         twin::WatchObservation w;
@@ -101,10 +98,10 @@ void populate_store(twin::TwinStore& store, util::Rng& rng) {
         w.watch_seconds = rng.uniform(1.0, 15.0);
         w.watch_fraction = rng.uniform();
         w.duration_s = 15.0;
-        columns.record_watch(u, t, w);
+        store.record_watch(u, t, w);
       }
       if (t % 60 == 0) {
-        columns.record_preference(u, t, columns.estimator(u).estimate());
+        store.record_preference(u, t, store.estimator(u).estimate());
       }
     }
   }
@@ -211,14 +208,13 @@ BENCHMARK(BM_CnnFitEpoch120Users);
 
 void BM_TwinSnapshotFull(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  twin::TwinStore store(users);
+  twin::TwinColumnStore store(users);
   util::Rng rng(31);
   populate_store(store, rng);
   twin::FeatureArena arena;
   const twin::WindowSpec spec{600.0, 600.0, 32, {1200.0, 1000.0, 10.0, 40.0}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.columns().feature_windows(spec, arena));
+    benchmark::DoNotOptimize(store.feature_windows(spec, arena));
   }
   state.counters["rows/iter"] = static_cast<double>(users);
 }
@@ -286,27 +282,30 @@ void BM_DdqnTrainStep(benchmark::State& state) {
 BENCHMARK(BM_DdqnTrainStep);
 
 void BM_UdtIngestChannelSample(benchmark::State& state) {
-  twin::UserDigitalTwin udt(0);
+  twin::TwinColumnStore udt(1);
   double t = 0.0;
   for (auto _ : state) {
-    udt.record_channel(t, {12.0, 2.5, 0});
+    udt.record_channel(0, t, {12.0, 2.5, 0});
     t += 1.0;
   }
 }
 BENCHMARK(BM_UdtIngestChannelSample);
 
 void BM_FeatureWindowExtract(benchmark::State& state) {
-  twin::UserDigitalTwin udt(0);
+  twin::TwinColumnStore udt(1);
   util::Rng rng(11);
   for (int t = 0; t < 600; ++t) {
-    udt.record_channel(t, {rng.uniform(0.0, 25.0), rng.uniform(0.0, 5.0), 0});
+    udt.record_channel(0, t, {rng.uniform(0.0, 25.0), rng.uniform(0.0, 5.0), 0});
     if (t % 5 == 0) {
-      udt.record_location(t, {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
+      udt.record_location(0, t, {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
     }
   }
-  const twin::FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
+  const twin::WindowSpec spec{600.0, 600.0, 32, {1200.0, 1000.0, 10.0, 40.0}};
+  std::vector<float> row(twin::TwinColumnStore::kFeatureChannels * spec.timesteps);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(udt.feature_window(600.0, 600.0, 32, scaling));
+    udt.extract_window_row(0, spec, row.data());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_FeatureWindowExtract);
@@ -328,22 +327,18 @@ BENCHMARK(BM_ChannelStep120Users);
 
 void BM_GroupChannelForecast(benchmark::State& state) {
   util::Rng rng(14);
-  std::vector<twin::UserDigitalTwin> twins;
-  std::vector<const twin::UserDigitalTwin*> ptrs;
-  const auto members = static_cast<std::size_t>(state.range(0));
-  twins.reserve(members);
-  for (std::size_t u = 0; u < members; ++u) {
-    twins.emplace_back(u);
-  }
-  for (auto& t : twins) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  twin::TwinColumnStore twins(count);
+  std::vector<std::size_t> members(count);
+  for (std::size_t u = 0; u < count; ++u) {
+    members[u] = u;
     for (int s = 0; s < 600; ++s) {
-      t.record_channel(s, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
+      twins.record_channel(u, s, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
     }
-    ptrs.push_back(&t);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        predict::forecast_group_channel(ptrs, 600.0, 600.0));
+        predict::forecast_group_channel(twins, members, 600.0, 600.0));
   }
 }
 BENCHMARK(BM_GroupChannelForecast)->Arg(15)->Arg(60);

@@ -177,11 +177,18 @@ inline int run_benchmarks_with_json(int argc, char** argv,
   // Baselines are only comparable within one ISA regime: record which SIMD
   // backend the library was compiled to use and whether the build targeted
   // the host CPU. Lands in the JSON "context" block (and the console
-  // header) next to num_cpus / build type.
+  // header) next to num_cpus. The context's own `library_build_type` is
+  // google-benchmark's build, not this one, so record ours (NDEBUG is set
+  // by Release builds).
   benchmark::AddCustomContext("dtmsv_simd_backend",
                               util::simd::active_backend_name());
   benchmark::AddCustomContext("dtmsv_native_arch",
                               util::simd::native_arch_build() ? "on" : "off");
+#ifdef NDEBUG
+  benchmark::AddCustomContext("dtmsv_build_type", "release");
+#else
+  benchmark::AddCustomContext("dtmsv_build_type", "debug");
+#endif
 
   benchmark::Initialize(&raw_argc, raw.data());
   if (benchmark::ReportUnrecognizedArguments(raw_argc, raw.data())) {

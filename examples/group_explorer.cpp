@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // baseline choose K and cluster.
   const twin::FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
   twin::FeatureArena arena;
-  const clustering::Points summaries = core::to_points(sim.twins().columns().summary_features(
+  const clustering::Points summaries = core::to_points(sim.twins().summary_features(
       {sim.now(), config.feature_window_s, scaling}, arena));
 
   util::Rng rng(1234);

@@ -8,17 +8,15 @@
 namespace dtmsv::analysis {
 
 behavior::PreferenceVector aggregate_group_preference(
-    const std::vector<const twin::UserDigitalTwin*>& members) {
+    const twin::TwinColumnStore& twins, std::span<const std::size_t> members) {
   behavior::PreferenceVector acc{};
   double total_weight = 0.0;
-  for (const auto* member : members) {
-    DTMSV_EXPECTS(member != nullptr);
+  for (const std::size_t u : members) {
+    DTMSV_EXPECTS(u < twins.user_count());
     // Weight each member by the evidence behind its estimate so fresh twins
     // with little history do not dilute the group profile.
-    const double weight = std::max(1.0, member->preference_estimator().evidence_seconds());
-    const behavior::PreferenceVector est =
-        member->preference().empty() ? member->preference_estimator().estimate()
-                                     : member->preference().latest().value;
+    const double weight = std::max(1.0, twins.estimator(u).evidence_seconds());
+    const behavior::PreferenceVector est = twins.latest_preference(u);
     for (std::size_t c = 0; c < acc.size(); ++c) {
       acc[c] += weight * est[c];
     }

@@ -4,11 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/popularity.hpp"
 #include "behavior/preference.hpp"
-#include "twin/udt.hpp"
+#include "twin/column_store.hpp"
 #include "video/catalog.hpp"
 
 namespace dtmsv::analysis {
@@ -32,10 +33,11 @@ struct RecommenderConfig {
   double popularity_weight = 0.7;
 };
 
-/// Aggregates member preference estimates into a group preference
-/// (evidence-weighted mean of each member's twin estimate).
+/// Aggregates the preference estimates of `members` (slots of `twins`) into
+/// a group preference: the evidence-weighted mean of each member's latest
+/// preference snapshot (its estimator's estimate before the first one).
 behavior::PreferenceVector aggregate_group_preference(
-    const std::vector<const twin::UserDigitalTwin*>& members);
+    const twin::TwinColumnStore& twins, std::span<const std::size_t> members);
 
 /// Builds the group playlist: category quota proportional to group
 /// preference; within a category, the top of `ranking` first, padded by

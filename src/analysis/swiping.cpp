@@ -116,16 +116,20 @@ double SwipingDistribution::expected_max_watch_fraction(video::Category category
   return std::min(acc, 1.0);
 }
 
-SwipingDistribution build_group_swiping(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, std::size_t bins, double forgetting) {
+SwipingDistribution build_group_swiping(const twin::TwinColumnStore& twins,
+                                        std::span<const std::size_t> members,
+                                        util::SimTime now, double window_s,
+                                        std::size_t bins, double forgetting) {
   DTMSV_EXPECTS(window_s > 0.0);
   SwipingDistribution dist(bins, forgetting);
-  for (const auto* member : members) {
-    DTMSV_EXPECTS(member != nullptr);
-    for (const auto& s : member->watch().window(now - window_s, now)) {
-      dist.observe(s.value.category, s.value.watch_fraction);
-    }
+  const twin::WatchColumn& watch = twins.watch_column();
+  const std::vector<std::uint8_t>& categories = watch.category();
+  const std::vector<double>& fractions = watch.watch_fraction();
+  for (const std::size_t u : members) {
+    DTMSV_EXPECTS(u < twins.user_count());
+    watch.for_each_in_window(u, now - window_s, now, [&](std::size_t at) {
+      dist.observe(static_cast<video::Category>(categories[at]), fractions[at]);
+    });
   }
   return dist;
 }

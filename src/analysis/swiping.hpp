@@ -10,9 +10,10 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
-#include "twin/udt.hpp"
+#include "twin/column_store.hpp"
 #include "video/catalog.hpp"
 
 namespace dtmsv::analysis {
@@ -58,10 +59,12 @@ class SwipingDistribution {
   std::vector<double> all_;
 };
 
-/// Builds a group's swiping distribution from its members' UDT watch
-/// histories over [now - window_s, now).
-SwipingDistribution build_group_swiping(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, std::size_t bins = 20, double forgetting = 0.7);
+/// Builds a group's swiping distribution from the watch histories of
+/// `members` (slots of `twins`) over [now - window_s, now), members in
+/// span order, samples oldest first.
+SwipingDistribution build_group_swiping(const twin::TwinColumnStore& twins,
+                                        std::span<const std::size_t> members,
+                                        util::SimTime now, double window_s,
+                                        std::size_t bins = 20, double forgetting = 0.7);
 
 }  // namespace dtmsv::analysis

@@ -43,9 +43,8 @@
 #include "behavior/preference.hpp"  // IWYU pragma: export
 #include "behavior/session.hpp"     // IWYU pragma: export
 
-#include "twin/collector.hpp"  // IWYU pragma: export
-#include "twin/store.hpp"      // IWYU pragma: export
-#include "twin/udt.hpp"        // IWYU pragma: export
+#include "twin/collector.hpp"     // IWYU pragma: export
+#include "twin/column_store.hpp"  // IWYU pragma: export
 
 #include "analysis/popularity.hpp"  // IWYU pragma: export
 #include "analysis/recommend.hpp"   // IWYU pragma: export

@@ -13,7 +13,6 @@
 #include "core/simulation.hpp"
 #include "nn/serialize.hpp"
 #include "predict/channel_predictor.hpp"
-#include "twin/store.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::core {
@@ -24,15 +23,14 @@ twin::WindowBatch TwinSnapshot::feature_windows() const {
   DTMSV_EXPECTS_MSG(twins != nullptr && arena != nullptr,
                     "TwinSnapshot: feature_windows() needs a twin store and the "
                     "Simulation-owned arena");
-  return twins->columns().feature_windows({now, window_s, timesteps, scaling},
-                                          *arena);
+  return twins->feature_windows({now, window_s, timesteps, scaling}, *arena);
 }
 
 twin::SummaryBatch TwinSnapshot::summary_features() const {
   DTMSV_EXPECTS_MSG(twins != nullptr && arena != nullptr,
                     "TwinSnapshot: summary_features() needs a twin store and the "
                     "Simulation-owned arena");
-  return twins->columns().summary_features({now, window_s, scaling}, *arena);
+  return twins->summary_features({now, window_s, scaling}, *arena);
 }
 
 clustering::Points to_points(const twin::SummaryBatch& batch) {
@@ -51,7 +49,7 @@ class CnnFeatureStage final : public FeatureStage {
  public:
   CnnFeatureStage(const SchemeConfig& config, util::Rng& rng) {
     CompressorConfig cc = config.compressor;
-    cc.channels = twin::UserDigitalTwin::kFeatureChannels;
+    cc.channels = twin::TwinColumnStore::kFeatureChannels;
     cc.timesteps = config.feature_timesteps;
     compressor_ = std::make_unique<FeatureCompressor>(cc, rng.fork(6).next());
   }
@@ -198,11 +196,12 @@ class JointDemandStage final : public DemandStage {
 
   GroupDemandForecast predict(const GroupDemandContext& context) override {
     const predict::GroupChannelForecast forecast = predict::forecast_group_channel(
-        *context.members, context.now, window_s_, demand_.efficiency_floor);
+        *context.twins, context.members, context.now, window_s_,
+        demand_.efficiency_floor);
     GroupDemandForecast out;
     out.efficiency = forecast.efficiency;
     out.demand = predict::predict_group_demand(
-        context.members->size(), *context.preference, *context.swiping, forecast,
+        context.members.size(), *context.preference, *context.swiping, forecast,
         *context.playlist_per_category, *context.content, demand_);
     return out;
   }
@@ -229,13 +228,13 @@ class PerMemberDemandStage final : public DemandStage {
   GroupDemandForecast predict(const GroupDemandContext& context) override {
     predict::GroupChannelForecast forecast;
     forecast.efficiency = predict::predict_group_efficiency(
-        *context.members, *predictor_, context.now, window_s_,
+        *context.twins, context.members, *predictor_, context.now, window_s_,
         demand_.efficiency_floor);
     forecast.min_series = {forecast.efficiency};
     GroupDemandForecast out;
     out.efficiency = forecast.efficiency;
     out.demand = predict::predict_group_demand(
-        context.members->size(), *context.preference, *context.swiping, forecast,
+        context.members.size(), *context.preference, *context.swiping, forecast,
         *context.playlist_per_category, *context.content, demand_);
     return out;
   }
@@ -506,7 +505,7 @@ PredictionPass predict_groups(const TwinSnapshot& snapshot, FeatureStage& featur
 
   const analysis::PopularityRanking ranking = inputs.popularity.rank(inputs.catalog);
   pass.groups.reserve(outcome.k);
-  std::vector<const twin::UserDigitalTwin*> member_twins;
+  const twin::TwinColumnStore& twins = *snapshot.twins;
   for (std::size_t g = 0; g < outcome.k; ++g) {
     if (buckets[g].empty()) {
       continue;  // K-means re-seeding should prevent this, but stay safe
@@ -514,20 +513,17 @@ PredictionPass predict_groups(const TwinSnapshot& snapshot, FeatureStage& featur
     GroupPrediction& group = pass.groups.emplace_back();
     group.cluster = g;
     group.members = std::move(buckets[g]);
-    member_twins.clear();
-    for (const std::size_t u : group.members) {
-      member_twins.push_back(&snapshot.twins->twin(u));
-    }
 
     group.swiping = analysis::build_group_swiping(
-        member_twins, snapshot.now, config.feature_window_s, config.swiping_bins,
-        config.swiping_forgetting);
-    group.preference = analysis::aggregate_group_preference(member_twins);
+        twins, group.members, snapshot.now, config.feature_window_s,
+        config.swiping_bins, config.swiping_forgetting);
+    group.preference = analysis::aggregate_group_preference(twins, group.members);
     group.recommendation = analysis::recommend(inputs.catalog, ranking, group.preference,
                                                config.recommender);
 
     GroupDemandContext context;
-    context.members = &member_twins;
+    context.twins = &twins;
+    context.members = group.members;
     context.preference = &group.preference;
     context.swiping = &group.swiping;
     context.playlist_per_category = &group.recommendation.per_category_counts;

@@ -33,6 +33,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,13 +43,9 @@
 #include "clustering/kmeans.hpp"
 #include "predict/demand.hpp"
 #include "twin/arena.hpp"
-#include "twin/udt.hpp"
+#include "twin/column_store.hpp"
 #include "util/clock.hpp"
 #include "video/catalog.hpp"
-
-namespace dtmsv::twin {
-class TwinStore;
-}
 
 namespace dtmsv::core {
 
@@ -191,11 +188,11 @@ class CollectingSink final : public ReportSink {
 // ------------------------------------------------------------------- stages
 
 /// Zero-copy view of the twin state a FeatureStage consumes: the live
-/// TwinStore plus the window geometry and the pooled extraction arena the
-/// owning Simulation provides. Valid only for the duration of the
+/// TwinColumnStore plus the window geometry and the pooled extraction arena
+/// the owning Simulation provides. Valid only for the duration of the
 /// extract() call; stages must not retain the pointers.
 struct TwinSnapshot {
-  const twin::TwinStore* twins = nullptr;
+  const twin::TwinColumnStore* twins = nullptr;
   util::SimTime now = 0.0;
   double window_s = 0.0;       // feature window length (SchemeConfig)
   std::size_t timesteps = 0;   // resampled window length (SchemeConfig)
@@ -207,7 +204,7 @@ struct TwinSnapshot {
   twin::FeatureArena* arena = nullptr;
 
   /// All users' [kFeatureChannels x timesteps] windows, flat row-major.
-  /// Requires `arena`; bit-identical to the per-twin feature_window rows.
+  /// Requires `arena`; bit-identical to the single-row extract_window_row.
   twin::WindowBatch feature_windows() const;
   /// All users' summary-feature rows, flat row-major. Requires `arena`.
   twin::SummaryBatch summary_features() const;
@@ -276,10 +273,12 @@ class GroupingStage {
   virtual void load_state(std::istream& is) { (void)is; }
 };
 
-/// Abstracted state of one multicast group, handed to the demand stage.
-/// All pointers outlive the predict() call only.
+/// Abstracted state of one multicast group, handed to the demand stage:
+/// the twin store plus the group's member slots (ascending). All pointers
+/// and the span outlive the predict() call only.
 struct GroupDemandContext {
-  const std::vector<const twin::UserDigitalTwin*>* members = nullptr;
+  const twin::TwinColumnStore* twins = nullptr;
+  std::span<const std::size_t> members;
   const behavior::PreferenceVector* preference = nullptr;
   const analysis::SwipingDistribution* swiping = nullptr;
   /// Recommender quota per category for the next interval's playlist.

@@ -48,6 +48,7 @@ std::optional<std::size_t> DegradationPolicy::record(bool deadline_hit) {
 
 void validate(const ServeConfig& config) {
   validate(config.scheme);
+  twin::validate(config.scaling);
   DTMSV_EXPECTS_MSG(config.deadline_ms > 0.0,
                     "ServeConfig: deadline_ms must be positive");
   DTMSV_EXPECTS_MSG(config.queue_capacity > 0,
@@ -92,7 +93,7 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
       catalog_(video::Catalog::generate(config.scheme.session.engagement.catalog,
                                         rng_)),
       content_(predict::ContentStats::from_catalog(catalog_)),
-      twins_(std::make_unique<twin::TwinStore>(config.scheme.user_count)),
+      twins_(config.scheme.user_count),
       queue_(config.queue_capacity),
       popularity_(config.scheme.popularity_forgetting),
       policy_(config.degradation),
@@ -183,16 +184,15 @@ void ServeLoop::advance_to(util::SimTime t) {
 
 void ServeLoop::ingest(const TwinEvent& event) {
   const std::size_t u = event.user;
-  twin::TwinColumnStore& columns = twins_->columns();
   switch (event.kind) {
     case TwinEvent::Kind::kChannel:
-      columns.record_channel(u, event.time, event.channel);
+      twins_.record_channel(u, event.time, event.channel);
       break;
     case TwinEvent::Kind::kLocation:
-      columns.record_location(u, event.time, event.position);
+      twins_.record_location(u, event.time, event.position);
       break;
     case TwinEvent::Kind::kWatch:
-      columns.record_watch(u, event.time, event.watch);
+      twins_.record_watch(u, event.time, event.watch);
       popularity_.observe(event.watch.video_id, event.watch.watch_seconds);
       preference_dirty_[u] = 1;
       break;
@@ -225,10 +225,9 @@ void ServeLoop::snapshot_preferences(util::SimTime at) {
   // feed the preference channels of the feature windows and the summary
   // rows' preference vector, so which users get one decides the
   // predictions. A user without new evidence gets none, as in batch mode.
-  twin::TwinColumnStore& columns = twins_->columns();
   for (std::size_t u = 0; u < preference_dirty_.size(); ++u) {
     if (preference_dirty_[u] != 0) {
-      columns.record_preference(u, at, columns.estimator(u).estimate());
+      twins_.record_preference(u, at, twins_.estimator(u).estimate());
       preference_dirty_[u] = 0;
     }
   }
@@ -245,7 +244,7 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   const DegradationLevel& rung = policy_.at(level);
 
   TwinSnapshot snapshot;
-  snapshot.twins = twins_.get();
+  snapshot.twins = &twins_;
   snapshot.now = at;
   snapshot.window_s = config_.scheme.feature_window_s;
   snapshot.timesteps = config_.scheme.feature_timesteps;
@@ -292,7 +291,7 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   }
 
   // Interval housekeeping (as in batch mode).
-  twins_->decay_preferences();
+  twins_.decay_preferences();
   popularity_.decay();
 
   if (sink_ != nullptr) {

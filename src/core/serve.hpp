@@ -39,7 +39,7 @@
 #include "core/simulation.hpp"
 #include "predict/demand.hpp"
 #include "twin/arena.hpp"
-#include "twin/store.hpp"
+#include "twin/column_store.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "video/catalog.hpp"
@@ -161,8 +161,8 @@ struct ServeConfig {
 
 /// Throws util::PreconditionError on invalid values (delegates scheme
 /// validation to core::validate, then checks the serve-specific fields:
-/// positive deadline and capacity, non-empty ladder with registered
-/// feature keys, positive hysteresis counts).
+/// positive feature scales, positive deadline and capacity, non-empty
+/// ladder with registered feature keys, positive hysteresis counts).
 void validate(const ServeConfig& config);
 
 /// Lifetime counters + the latency record of one ServeLoop.
@@ -201,7 +201,7 @@ class ServeLoop {
   /// (workload generators sample video ids from it so watch reports name
   /// real videos; offer() rejects a watch report that does not).
   const video::Catalog& catalog() const { return catalog_; }
-  const twin::TwinStore& twins() const { return *twins_; }
+  const twin::TwinColumnStore& twins() const { return twins_; }
   const DegradationPolicy& degradation() const { return policy_; }
   const ServeStats& stats() const { return stats_; }
   std::size_t queue_size() const { return queue_.size(); }
@@ -242,7 +242,7 @@ class ServeLoop {
   util::Rng rng_;
   video::Catalog catalog_;
   predict::ContentStats content_;
-  std::unique_ptr<twin::TwinStore> twins_;
+  twin::TwinColumnStore twins_;
   twin::FeatureArena arena_;
   EventQueue queue_;
   analysis::PopularityAnalyzer popularity_;

@@ -44,6 +44,7 @@ Simulation::Simulation(const SchemeConfig& config)
       campus_(mobility::CampusMap::waterloo_campus()),
       catalog_(video::Catalog::generate(config.session.engagement.catalog, rng_)),
       content_(predict::ContentStats::from_catalog(catalog_)),
+      twins_(config.user_count),
       popularity_(config.popularity_forgetting),
       phy_(config.demand.efficiency_floor),
       playback_rng_(0),
@@ -56,7 +57,6 @@ Simulation::Simulation(const SchemeConfig& config)
   util::Rng channel_rng = rng_.fork(2);
   channel_ = std::make_unique<wireless::ChannelModel>(campus_, config.radio,
                                                       config.user_count, channel_rng);
-  twins_ = std::make_unique<twin::TwinStore>(config.user_count);
   collector_ = std::make_unique<twin::StatusCollector>(config.collection,
                                                        config.user_count, rng_.fork(3));
 
@@ -289,7 +289,7 @@ void Simulation::tick(std::vector<behavior::ViewEvent>& events, util::SimTime t0
   }
   now_ = t1;
   ++tick_count_;
-  collector_->tick(now_, dt, *twins_, *channel_, *mobility_, events);
+  collector_->tick(now_, dt, twins_, *channel_, *mobility_, events);
   for (const auto& ev : events) {
     popularity_.observe(ev.video_id, ev.watch_seconds);
   }
@@ -329,7 +329,7 @@ behavior::PreferenceVector Simulation::handover_user(
   // no history for an arriving user, so the pipeline must re-learn them).
   mobility_->reseat(slot, handover_rng_.fork(slot));
   channel_->reset_user(slot, handover_rng_);
-  twins_->reset_user(slot);
+  twins_.reset_user(slot);
   if (slot < warmup_sessions_.size()) {
     warmup_sessions_[slot].set_affinity(affinities_[slot]);
   }
@@ -338,7 +338,7 @@ behavior::PreferenceVector Simulation::handover_user(
 
 void Simulation::predict_next_interval(EpochReport& report) {
   TwinSnapshot snapshot;
-  snapshot.twins = twins_.get();
+  snapshot.twins = &twins_;
   snapshot.now = now_;
   snapshot.window_s = config_.feature_window_s;
   snapshot.timesteps = config_.feature_timesteps;
@@ -461,7 +461,7 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
   }
 
   // Interval housekeeping.
-  twins_->decay_preferences();
+  twins_.decay_preferences();
   popularity_.decay();
   if (config_.affinity_drift_rate > 0.0) {
     drift_affinities();

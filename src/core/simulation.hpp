@@ -34,7 +34,7 @@
 #include "mobility/random_waypoint.hpp"
 #include "predict/demand.hpp"
 #include "twin/collector.hpp"
-#include "twin/store.hpp"
+#include "twin/column_store.hpp"
 #include "util/stats.hpp"
 #include "wireless/channel.hpp"
 #include "wireless/multicast.hpp"
@@ -151,7 +151,7 @@ class Simulation {
   /// integer index within each interval, never by accumulated float time).
   std::size_t tick_count() const { return tick_count_; }
   const video::Catalog& catalog() const { return catalog_; }
-  const twin::TwinStore& twins() const { return *twins_; }
+  const twin::TwinColumnStore& twins() const { return twins_; }
   const twin::CollectorStats& collector_stats() const;
 
   /// The active pipeline stages (names, learned-state queries).
@@ -237,7 +237,7 @@ class Simulation {
 
   std::unique_ptr<mobility::MobilityField> mobility_;
   std::unique_ptr<wireless::ChannelModel> channel_;
-  std::unique_ptr<twin::TwinStore> twins_;
+  twin::TwinColumnStore twins_;
   /// Pooled feature-extraction buffers handed to every TwinSnapshot: the
   /// interval path materialises windows/summaries in place (no per-user
   /// vectors).

@@ -2,35 +2,57 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
 namespace dtmsv::predict {
 
-double LastValuePredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
+namespace {
+
+/// Calls fn(time, efficiency) over user `u`'s channel samples in
+/// [now - window_s, now), oldest first; returns how many it visited.
+template <typename Fn>
+std::size_t scan_window(const twin::ChannelColumn& channel, std::size_t u,
+                        util::SimTime now, double window_s, Fn&& fn) {
+  DTMSV_EXPECTS(u < channel.user_count());
+  const std::vector<double>& times = channel.times();
+  const std::vector<double>& efficiency = channel.efficiency();
+  std::size_t n = 0;
+  channel.for_each_in_window(u, now - window_s, now, [&](std::size_t at) {
+    fn(times[at], efficiency[at]);
+    ++n;
+  });
+  return n;
+}
+
+}  // namespace
+
+double LastValuePredictor::predict(const twin::ChannelColumn& channel, std::size_t u,
+                                   util::SimTime now, double window_s,
+                                   double fallback) const {
+  double last = 0.0;
+  if (scan_window(channel, u, now, window_s, [&](double, double e) { last = e; }) == 0) {
     return fallback;
   }
-  return std::max(0.0, window.back().value.efficiency_bps_hz);
+  return std::max(0.0, last);
 }
 
 EwmaPredictor::EwmaPredictor(double alpha) : alpha_(alpha) {
   DTMSV_EXPECTS(alpha > 0.0 && alpha <= 1.0);
 }
 
-double EwmaPredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
+double EwmaPredictor::predict(const twin::ChannelColumn& channel, std::size_t u,
+                              util::SimTime now, double window_s,
+                              double fallback) const {
+  double value = 0.0;
+  bool seeded = false;
+  const std::size_t n = scan_window(channel, u, now, window_s, [&](double, double e) {
+    value = seeded ? alpha_ * e + (1.0 - alpha_) * value : e;
+    seeded = true;
+  });
+  if (n == 0) {
     return fallback;
-  }
-  double value = window.front().value.efficiency_bps_hz;
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    value = alpha_ * window[i].value.efficiency_bps_hz + (1.0 - alpha_) * value;
   }
   return std::max(0.0, value);
 }
@@ -39,30 +61,31 @@ LinearTrendPredictor::LinearTrendPredictor(double horizon_s) : horizon_s_(horizo
   DTMSV_EXPECTS(horizon_s >= 0.0);
 }
 
-double LinearTrendPredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
-    return fallback;
-  }
-  if (window.size() < 3) {
-    return std::max(0.0, window.back().value.efficiency_bps_hz);
-  }
+double LinearTrendPredictor::predict(const twin::ChannelColumn& channel, std::size_t u,
+                                     util::SimTime now, double window_s,
+                                     double fallback) const {
   // OLS on (t, efficiency), times centred at `now` for conditioning.
   double sx = 0.0;
   double sy = 0.0;
   double sxx = 0.0;
   double sxy = 0.0;
-  const auto n = static_cast<double>(window.size());
-  for (const auto& s : window) {
-    const double x = s.time - now;
-    const double y = s.value.efficiency_bps_hz;
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    sxy += x * y;
+  double last = 0.0;
+  const std::size_t count =
+      scan_window(channel, u, now, window_s, [&](double t, double y) {
+        const double x = t - now;
+        sx += x;
+        sy += y;
+        sxx += x * x;
+        sxy += x * y;
+        last = y;
+      });
+  if (count == 0) {
+    return fallback;
   }
+  if (count < 3) {
+    return std::max(0.0, last);
+  }
+  const auto n = static_cast<double>(count);
   const double denom = n * sxx - sx * sx;
   if (std::abs(denom) < 1e-12) {
     return std::max(0.0, sy / n);
@@ -72,36 +95,35 @@ double LinearTrendPredictor::predict(
   return std::max(0.0, intercept + slope * horizon_s_);
 }
 
-double MeanPredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
+double MeanPredictor::predict(const twin::ChannelColumn& channel, std::size_t u,
+                              util::SimTime now, double window_s,
+                              double fallback) const {
+  double total = 0.0;
+  const std::size_t n =
+      scan_window(channel, u, now, window_s, [&](double, double e) { total += e; });
+  if (n == 0) {
     return fallback;
   }
-  double total = 0.0;
-  for (const auto& s : window) {
-    total += s.value.efficiency_bps_hz;
-  }
-  return std::max(0.0, total / static_cast<double>(window.size()));
+  return std::max(0.0, total / static_cast<double>(n));
 }
 
-double predict_group_efficiency(const std::vector<const twin::UserDigitalTwin*>& members,
+double predict_group_efficiency(const twin::TwinColumnStore& twins,
+                                std::span<const std::size_t> members,
                                 const EfficiencyPredictor& predictor,
                                 util::SimTime now, double window_s, double floor) {
   DTMSV_EXPECTS_MSG(!members.empty(), "predict_group_efficiency: empty group");
   DTMSV_EXPECTS(floor > 0.0);
   double worst = std::numeric_limits<double>::infinity();
-  for (const auto* member : members) {
-    DTMSV_EXPECTS(member != nullptr);
-    worst = std::min(worst, predictor.predict(member->channel(), now, window_s));
+  for (const std::size_t u : members) {
+    worst = std::min(worst, predictor.predict(twins.channel_column(), u, now, window_s));
   }
   return std::max(worst, floor);
 }
 
-GroupChannelForecast forecast_group_channel(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, double floor, double bin_s) {
+GroupChannelForecast forecast_group_channel(const twin::TwinColumnStore& twins,
+                                            std::span<const std::size_t> members,
+                                            util::SimTime now, double window_s,
+                                            double floor, double bin_s) {
   DTMSV_EXPECTS_MSG(!members.empty(), "forecast_group_channel: empty group");
   DTMSV_EXPECTS(floor > 0.0);
   DTMSV_EXPECTS(window_s > 0.0 && bin_s > 0.0);
@@ -120,21 +142,14 @@ GroupChannelForecast forecast_group_channel(
   // Per-bin minimum efficiency across members (zero-order hold per member).
   std::vector<double> min_series(bins, kUnset);
   std::vector<double> member_series(bins);
-  for (const auto* member : members) {
-    DTMSV_EXPECTS(member != nullptr);
+  const twin::ChannelColumn& column = twins.channel_column();
+  const std::vector<double>& times = column.times();
+  const std::vector<double>& efficiency = column.efficiency();
+  for (const std::size_t u : members) {
+    DTMSV_EXPECTS(u < twins.user_count());
     std::fill(member_series.begin(), member_series.end(), kUnset);
-    // Scan the columnar history directly — the time and efficiency lanes
-    // are flat arrays, so the per-bin pass streams instead of
-    // materialising a Stamped observation per sample.
-    const twin::ChannelColumn& column = member->columns().channel_column();
-    const std::vector<double>& times = column.times();
-    const std::vector<double>& efficiency = column.efficiency();
-    column.for_each_slot(member->slot(), [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= now) {
-        return;
-      }
-      auto b = static_cast<std::size_t>((t - from) / bin_s);
+    column.for_each_in_window(u, from, now, [&](std::size_t at) {
+      auto b = static_cast<std::size_t>((times[at] - from) / bin_s);
       b = std::min(b, bins - 1);
       // Keep the last sample per bin (samples arrive time-ordered).
       member_series[b] = efficiency[at];
@@ -175,10 +190,11 @@ GroupChannelForecast forecast_group_channel(
   return forecast;
 }
 
-double predict_group_efficiency_joint(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, double floor, double bin_s) {
-  return forecast_group_channel(members, now, window_s, floor, bin_s).efficiency;
+double predict_group_efficiency_joint(const twin::TwinColumnStore& twins,
+                                      std::span<const std::size_t> members,
+                                      util::SimTime now, double window_s,
+                                      double floor, double bin_s) {
+  return forecast_group_channel(twins, members, now, window_s, floor, bin_s).efficiency;
 }
 
 }  // namespace dtmsv::predict

@@ -2,19 +2,21 @@
 // radio-side input to group demand prediction. A multicast group's next-
 // interval efficiency is the minimum of its members' predictions.
 //
-// Histories arrive as twin::ChannelSeries — the zero-copy per-user view
-// over the columnar twin store (twin/columns.hpp).
+// Histories are read straight from the twin store's channel column; a group
+// is the store plus a span of member slots.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
-#include "twin/udt.hpp"
+#include "twin/column_store.hpp"
 
 namespace dtmsv::predict {
 
 /// Predicts a user's mean spectral efficiency over the next interval from
-/// the channel series stored in their twin.
+/// the channel history stored in their twin.
 class EfficiencyPredictor {
  public:
   virtual ~EfficiencyPredictor() = default;
@@ -22,10 +24,10 @@ class EfficiencyPredictor {
   EfficiencyPredictor(const EfficiencyPredictor&) = delete;
   EfficiencyPredictor& operator=(const EfficiencyPredictor&) = delete;
 
-  /// Prediction using samples in [now - window_s, now). Returns a
-  /// non-negative efficiency; implementations fall back to `fallback`
-  /// when the window is empty.
-  virtual double predict(const twin::ChannelSeries& history,
+  /// Prediction using user `u`'s samples in [now - window_s, now) of
+  /// `channel`. Returns a non-negative efficiency; implementations fall
+  /// back to `fallback` when the window is empty.
+  virtual double predict(const twin::ChannelColumn& channel, std::size_t u,
                          util::SimTime now, double window_s,
                          double fallback = 0.5) const = 0;
 
@@ -35,8 +37,8 @@ class EfficiencyPredictor {
 /// Uses the most recent sample only.
 class LastValuePredictor final : public EfficiencyPredictor {
  public:
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t u, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "last-value"; }
 };
 
@@ -44,8 +46,8 @@ class LastValuePredictor final : public EfficiencyPredictor {
 class EwmaPredictor final : public EfficiencyPredictor {
  public:
   explicit EwmaPredictor(double alpha = 0.3);
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t u, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "ewma"; }
 
  private:
@@ -58,8 +60,8 @@ class LinearTrendPredictor final : public EfficiencyPredictor {
  public:
   /// `horizon_s`: how far past `now` to extrapolate.
   explicit LinearTrendPredictor(double horizon_s = 150.0);
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t u, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "linear-trend"; }
 
  private:
@@ -69,15 +71,16 @@ class LinearTrendPredictor final : public EfficiencyPredictor {
 /// Window mean (the simplest robust predictor).
 class MeanPredictor final : public EfficiencyPredictor {
  public:
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t u, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "mean"; }
 };
 
 /// Group efficiency: the minimum over members' predictions, floored at
 /// `floor` (multicast must serve the worst member). Simple composition —
 /// biased optimistic for large groups because min(E[X_i]) ≥ E[min X_i].
-double predict_group_efficiency(const std::vector<const twin::UserDigitalTwin*>& members,
+double predict_group_efficiency(const twin::TwinColumnStore& twins,
+                                std::span<const std::size_t> members,
                                 const EfficiencyPredictor& predictor,
                                 util::SimTime now, double window_s,
                                 double floor = 0.05);
@@ -93,18 +96,20 @@ struct GroupChannelForecast {
   std::vector<double> min_series;
 };
 
-/// Reconstructs the per-bin min-over-members efficiency from the members'
-/// aligned twin channel histories (zero-order hold per member through
+/// Reconstructs the per-bin min-over-members efficiency from the aligned
+/// channel histories of `members` (slots of `twins`) (zero-order hold per member through
 /// report gaps). Bins no member has covered are omitted; with no samples at
 /// all the forecast degenerates to a single `floor` bin.
-GroupChannelForecast forecast_group_channel(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, double floor = 0.05, double bin_s = 1.0);
+GroupChannelForecast forecast_group_channel(const twin::TwinColumnStore& twins,
+                                            std::span<const std::size_t> members,
+                                            util::SimTime now, double window_s,
+                                            double floor = 0.05, double bin_s = 1.0);
 
 /// Convenience: harmonic-mean group efficiency only (see
 /// forecast_group_channel).
-double predict_group_efficiency_joint(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, double floor = 0.05, double bin_s = 1.0);
+double predict_group_efficiency_joint(const twin::TwinColumnStore& twins,
+                                      std::span<const std::size_t> members,
+                                      util::SimTime now, double window_s,
+                                      double floor = 0.05, double bin_s = 1.0);
 
 }  // namespace dtmsv::predict

@@ -34,7 +34,7 @@ bool StatusCollector::deliver() {
   return !rng_.bernoulli(policy_.report_loss_prob);
 }
 
-void StatusCollector::tick(util::SimTime now, double dt, TwinStore& store,
+void StatusCollector::tick(util::SimTime now, double dt, TwinColumnStore& store,
                            const wireless::ChannelModel& channel,
                            const mobility::MobilityField& mobility,
                            const std::vector<behavior::ViewEvent>& events) {
@@ -47,8 +47,7 @@ void StatusCollector::tick(util::SimTime now, double dt, TwinStore& store,
   const util::SimTime visible = now + policy_.latency_s;
 
   // Bulk reports write straight into the columnar store: one contiguous
-  // (time, value) column per attribute, no per-twin indirection.
-  TwinColumnStore& columns = store.columns();
+  // (time, value) column per attribute.
   if (due(next_channel_, now, policy_.channel_period_s)) {
     for (std::size_t u = 0; u < store.user_count(); ++u) {
       if (!deliver()) {
@@ -56,8 +55,8 @@ void StatusCollector::tick(util::SimTime now, double dt, TwinStore& store,
         continue;
       }
       const auto& s = channel.sample_of(u);
-      columns.record_channel(u, visible,
-                             {s.snr_db, s.efficiency_bps_hz, s.serving_bs});
+      store.record_channel(u, visible,
+                           {s.snr_db, s.efficiency_bps_hz, s.serving_bs});
       ++stats_.channel_reports;
     }
   }
@@ -68,7 +67,7 @@ void StatusCollector::tick(util::SimTime now, double dt, TwinStore& store,
         ++stats_.dropped_reports;
         continue;
       }
-      columns.record_location(u, visible, mobility.position_of(u));
+      store.record_location(u, visible, mobility.position_of(u));
       ++stats_.location_reports;
     }
   }
@@ -86,8 +85,8 @@ void StatusCollector::tick(util::SimTime now, double dt, TwinStore& store,
     obs.watch_seconds = ev.watch_seconds;
     obs.watch_fraction = ev.watch_fraction;
     obs.completed = ev.completed;
-    columns.record_watch(ev.user_id,
-                         ev.start_time + ev.watch_seconds + policy_.latency_s, obs);
+    store.record_watch(ev.user_id,
+                       ev.start_time + ev.watch_seconds + policy_.latency_s, obs);
     ++stats_.watch_reports;
   }
 
@@ -97,7 +96,7 @@ void StatusCollector::tick(util::SimTime now, double dt, TwinStore& store,
         ++stats_.dropped_reports;
         continue;
       }
-      columns.record_preference(u, visible, columns.estimator(u).estimate());
+      store.record_preference(u, visible, store.estimator(u).estimate());
       ++stats_.preference_reports;
     }
   }

@@ -9,7 +9,7 @@
 
 #include "behavior/session.hpp"
 #include "mobility/random_waypoint.hpp"
-#include "twin/store.hpp"
+#include "twin/column_store.hpp"
 #include "util/rng.hpp"
 #include "wireless/channel.hpp"
 
@@ -36,7 +36,7 @@ struct CollectorStats {
   std::size_t dropped_reports = 0;
 };
 
-/// Drives per-attribute sampling into a TwinStore.
+/// Drives per-attribute sampling into a TwinColumnStore.
 class StatusCollector {
  public:
   StatusCollector(CollectionPolicy policy, std::size_t user_count, util::Rng rng);
@@ -44,7 +44,7 @@ class StatusCollector {
   /// Called once per simulation tick (`dt` seconds at time `now`, *after*
   /// the channel/mobility/session models advanced to `now`). Watch events
   /// that finished inside the tick are passed in `events`.
-  void tick(util::SimTime now, double dt, TwinStore& store,
+  void tick(util::SimTime now, double dt, TwinColumnStore& store,
             const wireless::ChannelModel& channel,
             const mobility::MobilityField& mobility,
             const std::vector<behavior::ViewEvent>& events);

@@ -16,11 +16,22 @@ namespace {
 /// identical for any DTMSV_THREADS).
 constexpr std::size_t kExtractGrain = 8;
 
+/// The spec check shared by both batch paths and their single-row forms.
+void validate_spec(double window_s, const FeatureScaling& scaling) {
+  DTMSV_EXPECTS(window_s > 0.0);
+  validate(scaling);
+}
+
 void validate_window_spec(const WindowSpec& spec) {
-  DTMSV_EXPECTS(spec.window_s > 0.0);
+  validate_spec(spec.window_s, spec.scaling);
   DTMSV_EXPECTS(spec.timesteps > 0);
-  DTMSV_EXPECTS(spec.scaling.pos_x_scale > 0.0 && spec.scaling.pos_y_scale > 0.0);
-  DTMSV_EXPECTS(spec.scaling.snr_scale_db > 0.0);
+}
+
+/// Ring slots of a sparser attribute lane: 1/`divisor` of the channel
+/// lane's `history_capacity`, floored at min(history_capacity, 64).
+std::size_t sparse_lane(std::size_t history_capacity, std::size_t divisor) {
+  return std::min(history_capacity,
+                  std::max<std::size_t>(64, history_capacity / divisor));
 }
 
 /// The seed's per-channel resample: bin means over [from, now) with
@@ -50,23 +61,11 @@ struct TwinColumnStore::RowScratch {
   }
 };
 
-ColumnCapacities ColumnCapacities::scaled(std::size_t history_capacity) {
-  const auto lane = [history_capacity](std::size_t divisor) {
-    return std::min(history_capacity,
-                    std::max<std::size_t>(64, history_capacity / divisor));
-  };
-  return {history_capacity, lane(4), lane(8), lane(16)};
-}
-
 TwinColumnStore::TwinColumnStore(std::size_t user_count, std::size_t history_capacity)
-    : TwinColumnStore(user_count, ColumnCapacities::scaled(history_capacity)) {}
-
-TwinColumnStore::TwinColumnStore(std::size_t user_count,
-                                 const ColumnCapacities& capacities)
-    : channel_(user_count, capacities.channel),
-      location_(user_count, capacities.location),
-      watch_(user_count, capacities.watch),
-      preference_(user_count, capacities.preference),
+    : channel_(user_count, history_capacity),
+      location_(user_count, sparse_lane(history_capacity, 4)),
+      watch_(user_count, sparse_lane(history_capacity, 8)),
+      preference_(user_count, sparse_lane(history_capacity, 16)),
       estimators_(user_count) {
   DTMSV_EXPECTS(user_count > 0);
 }
@@ -107,6 +106,12 @@ void TwinColumnStore::decay_preferences() {
   }
 }
 
+behavior::PreferenceVector TwinColumnStore::latest_preference(std::size_t u) const {
+  DTMSV_EXPECTS(u < user_count());
+  return preference_.empty(u) ? estimators_[u].estimate()
+                              : preference_.get(u, preference_.size(u) - 1);
+}
+
 void TwinColumnStore::reset_user(std::size_t u) {
   DTMSV_EXPECTS(u < user_count());
   channel_.clear_user(u);
@@ -137,12 +142,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
     const std::vector<double>& times = channel_.times();
     const std::vector<double>& snr = channel_.snr();
     const std::vector<double>& eff = channel_.efficiency();
-    channel_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    channel_.for_each_in_window(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       sums_snr[b] +=
           std::clamp((snr[at] + scaling.snr_offset_db) / scaling.snr_scale_db, 0.0, 1.5);
       sums_eff[b] += std::clamp(eff[at] / 6.0, 0.0, 1.0);
@@ -160,12 +161,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
     const std::vector<double>& times = location_.times();
     const std::vector<double>& xs = location_.x();
     const std::vector<double>& ys = location_.y();
-    location_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    location_.for_each_in_window(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       sums_x[b] += std::clamp(xs[at] / scaling.pos_x_scale, 0.0, 1.0);
       sums_y[b] += std::clamp(ys[at] / scaling.pos_y_scale, 0.0, 1.0);
       ++scratch.counts[b];
@@ -179,12 +176,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
   {
     const std::vector<double>& times = watch_.times();
     const std::vector<double>& frac = watch_.watch_fraction();
-    watch_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    watch_.for_each_in_window(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       scratch.sums[b] += std::clamp(frac[at], 0.0, 1.0);
       ++scratch.counts[b];
     });
@@ -196,12 +189,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
   scratch.reset(video::kCategoryCount, bins);
   {
     const std::vector<double>& times = preference_.times();
-    preference_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    preference_.for_each_in_window(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       for (std::size_t c = 0; c < video::kCategoryCount; ++c) {
         scratch.sums[c * bins + b] += preference_.lane(c)[at];
       }
@@ -225,42 +214,25 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
 void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec,
                                           double* out) const {
   DTMSV_EXPECTS(u < user_count());
-  DTMSV_EXPECTS(spec.window_s > 0.0);
+  validate_spec(spec.window_s, spec.scaling);
   const util::SimTime from = spec.now - spec.window_s;
 
   util::RunningStats snr;
-  {
-    const std::vector<double>& times = channel_.times();
-    const std::vector<double>& vals = channel_.snr();
-    channel_.for_each_slot(u, [&](std::size_t at) {
-      if (times[at] >= from && times[at] < spec.now) {
-        snr.add(vals[at]);
-      }
-    });
-  }
+  const std::vector<double>& snrs = channel_.snr();
+  channel_.for_each_in_window(u, from, spec.now,
+                              [&](std::size_t at) { snr.add(snrs[at]); });
   util::RunningStats x;
   util::RunningStats y;
-  {
-    const std::vector<double>& times = location_.times();
-    const std::vector<double>& xs = location_.x();
-    const std::vector<double>& ys = location_.y();
-    location_.for_each_slot(u, [&](std::size_t at) {
-      if (times[at] >= from && times[at] < spec.now) {
-        x.add(xs[at]);
-        y.add(ys[at]);
-      }
-    });
-  }
+  const std::vector<double>& xs = location_.x();
+  const std::vector<double>& ys = location_.y();
+  location_.for_each_in_window(u, from, spec.now, [&](std::size_t at) {
+    x.add(xs[at]);
+    y.add(ys[at]);
+  });
   util::RunningStats frac;
-  {
-    const std::vector<double>& times = watch_.times();
-    const std::vector<double>& vals = watch_.watch_fraction();
-    watch_.for_each_slot(u, [&](std::size_t at) {
-      if (times[at] >= from && times[at] < spec.now) {
-        frac.add(vals[at]);
-      }
-    });
-  }
+  const std::vector<double>& fracs = watch_.watch_fraction();
+  watch_.for_each_in_window(u, from, spec.now,
+                            [&](std::size_t at) { frac.add(fracs[at]); });
 
   const FeatureScaling& scaling = spec.scaling;
   out[0] = snr.empty()
@@ -272,9 +244,7 @@ void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec
   out[3] = y.empty() ? 0.0 : y.mean() / scaling.pos_y_scale;
   out[4] = frac.empty() ? 0.0 : frac.mean();
   out[5] = frac.empty() ? 0.0 : frac.stddev();
-  const behavior::PreferenceVector pref =
-      preference_.empty(u) ? estimators_[u].estimate()
-                           : preference_.get(u, preference_.size(u) - 1);
+  const behavior::PreferenceVector pref = latest_preference(u);
   for (std::size_t c = 0; c < pref.size(); ++c) {
     out[6 + c] = pref[c];
   }
@@ -299,7 +269,7 @@ WindowBatch TwinColumnStore::feature_windows(const WindowSpec& spec,
 
 SummaryBatch TwinColumnStore::summary_features(const SummarySpec& spec,
                                                FeatureArena& arena) const {
-  DTMSV_EXPECTS(spec.window_s > 0.0);
+  validate_spec(spec.window_s, spec.scaling);
   const std::size_t users = user_count();
   arena.summaries_.resize(users * kSummaryDim);
   double* data = arena.summaries_.data();

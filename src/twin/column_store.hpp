@@ -1,12 +1,14 @@
-// TwinColumnStore: the columnar twin engine behind TwinStore.
+// TwinColumnStore: the edge server's user digital twins (UDTs) — "UDTs are
+// deployed on the edge server to store user status for individual user".
 //
 // One SoA ring-buffer column per attribute across ALL users (twin/
-// columns.hpp) and one PreferenceEstimator per user. Batch feature
-// extraction into a FeatureArena re-extracts every user's row on each
-// call: every consumer reads a window ending at a new `now`, so no row of
-// an earlier call could be reused. Rows are extracted independently
-// (deterministic for any DTMSV_THREADS) with arithmetic bit-identical to
-// the seed's per-twin AttributeSeries path.
+// columns.hpp) and one PreferenceEstimator per user. A user is a slot
+// index; group consumers read the columns plus a span of member slots.
+// Batch feature extraction into a FeatureArena re-extracts every user's
+// row on each call: every consumer reads a window ending at a new `now`,
+// so no row of an earlier call could be reused. Rows are extracted
+// independently (deterministic for any DTMSV_THREADS) with arithmetic
+// bit-identical to the seed's per-twin AttributeSeries path.
 #pragma once
 
 #include <cstddef>
@@ -19,23 +21,6 @@
 
 namespace dtmsv::twin {
 
-/// Per-attribute ring capacities. The lanes are dense (capacity stride per
-/// user), so paying channel-rate capacity for every attribute would
-/// multiply fleet memory ~4x for nothing: the collector samples location /
-/// watch / preference 5-60x sparser than the 1 Hz channel feedback.
-/// scaled() derives proportional lanes from one channel-rate capacity.
-struct ColumnCapacities {
-  std::size_t channel = 2048;
-  std::size_t location = 512;
-  std::size_t watch = 256;
-  std::size_t preference = 128;
-
-  /// channel = `history_capacity`; sparser lanes at 1/4, 1/8 and 1/16 of
-  /// it, floored at min(history_capacity, 64) so tiny test capacities
-  /// keep uniform ring semantics.
-  static ColumnCapacities scaled(std::size_t history_capacity);
-};
-
 /// Columnar storage + batch extraction for a population of twins.
 class TwinColumnStore {
  public:
@@ -44,10 +29,13 @@ class TwinColumnStore {
   /// Dimension of a summary-feature row.
   static constexpr std::size_t kSummaryDim = 6 + video::kCategoryCount;
 
-  /// `history_capacity`: channel-lane slots per user; the sparser
-  /// attributes get ColumnCapacities::scaled() shares of it.
-  TwinColumnStore(std::size_t user_count, std::size_t history_capacity);
-  TwinColumnStore(std::size_t user_count, const ColumnCapacities& capacities);
+  /// `history_capacity`: channel-lane slots per user. The lanes are dense
+  /// (capacity stride per user) and the collector samples location / watch
+  /// / preference 5-60x sparser than the 1 Hz channel feedback, so those
+  /// lanes keep 1/4, 1/8 and 1/16 of it, floored at
+  /// min(history_capacity, 64) so tiny capacities keep uniform ring
+  /// semantics.
+  explicit TwinColumnStore(std::size_t user_count, std::size_t history_capacity = 2048);
 
   std::size_t user_count() const { return estimators_.size(); }
   std::size_t history_capacity() const { return channel_.capacity(); }
@@ -71,18 +59,14 @@ class TwinColumnStore {
   /// carries nothing of the departed user.
   void reset_user(std::size_t u);
 
-  // --- per-user reads ---
-  ChannelSeries channel(std::size_t u) const { return {&channel_, u}; }
-  LocationSeries location(std::size_t u) const { return {&location_, u}; }
-  WatchSeries watch(std::size_t u) const { return {&watch_, u}; }
-  PreferenceSeries preference(std::size_t u) const { return {&preference_, u}; }
+  // --- reads: the running preference estimator fed by watch ingestion,
+  // and the columns (for_each_in_window + the flat value lanes) ---
   const behavior::PreferenceEstimator& estimator(std::size_t u) const {
     return estimators_[u];
   }
-
-  // --- raw column access for scan-heavy consumers (channel forecasting,
-  // out-of-tree kernels): for_each_slot + the flat value lanes avoid
-  // materialising a Stamped<T> per sample ---
+  /// User `u`'s latest preference snapshot; the estimator's estimate
+  /// before the first one.
+  behavior::PreferenceVector latest_preference(std::size_t u) const;
   const ChannelColumn& channel_column() const { return channel_; }
   const LocationColumn& location_column() const { return location_; }
   const WatchColumn& watch_column() const { return watch_; }
@@ -90,18 +74,27 @@ class TwinColumnStore {
 
   // --- batch extraction into a pooled arena ---
 
-  /// Materialises every user's [kFeatureChannels x timesteps] window
-  /// (channel-major, zero-order hold — see UserDigitalTwin::feature_window)
-  /// into `arena` and returns a view over it. Rows split across the pool,
+  /// Materialises every user's [kFeatureChannels x timesteps] window ending
+  /// at `spec.now` and spanning `spec.window_s` seconds into `arena` and
+  /// returns a view over it. Row layout is channel-major (the layout the
+  /// 1D-CNN consumes):
+  ///   0: normalised SNR            1: spectral efficiency / 6
+  ///   2: normalised x              3: normalised y
+  ///   4: mean watch fraction       5..: preference weight per category
+  /// Each channel is resampled to `spec.timesteps` uniform bins; empty bins
+  /// carry the previous bin's value (zero-order hold; zeros before the
+  /// first sample). Rows split across the pool,
   /// each written by one worker, so the bytes are identical for any
   /// DTMSV_THREADS.
   WindowBatch feature_windows(const WindowSpec& spec, FeatureArena& arena) const;
 
-  /// Summary-feature counterpart ([kSummaryDim] per user, see
-  /// UserDigitalTwin::summary_features).
+  /// Compact per-user summary for stages that skip the CNN ([kSummaryDim]
+  /// per user): normalised mean/std SNR, mean position, mean/std watch
+  /// fraction, then the latest preference snapshot (the estimator's
+  /// estimate before the first one).
   SummaryBatch summary_features(const SummarySpec& spec, FeatureArena& arena) const;
 
-  /// Single-row extraction (standalone twins, spot checks). `out` must
+  /// Single-row extraction (spot checks). `out` must
   /// hold kFeatureChannels * spec.timesteps floats / kSummaryDim doubles.
   void extract_window_row(std::size_t u, const WindowSpec& spec, float* out) const;
   void extract_summary_row(std::size_t u, const SummarySpec& spec, double* out) const;

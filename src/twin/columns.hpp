@@ -1,26 +1,25 @@
 // Columnar twin storage: per-attribute SoA ring buffers.
 //
-// The seed kept one std::deque<Stamped<T>> per attribute per user — every
-// window scan chased deque blocks and every handover reallocated a whole
-// UserDigitalTwin. Here each attribute holds ONE contiguous time column and
-// one contiguous column per value field, spanning all users with a fixed
-// `capacity` stride: user u's slots live at [u*capacity, (u+1)*capacity),
-// managed as a ring (head + size, oldest evicted first). Extraction kernels
-// scan plain double arrays; reset_user is slot recycling (ring emptied, no
-// allocation, nothing freed) instead of object replacement.
+// The seed kept one std::deque of timestamped samples per attribute per
+// user: every window scan chased deque blocks and every handover
+// reallocated a whole per-user twin object. Here each attribute holds ONE
+// contiguous time column and one contiguous column per value field,
+// spanning all users with a fixed `capacity` stride: user u's slots live at
+// [u*capacity, (u+1)*capacity), managed as a ring (head + size, oldest
+// evicted first). Extraction kernels scan plain double arrays; reset_user
+// is slot recycling (ring emptied, no allocation, nothing freed) instead of
+// object replacement.
 //
-// SeriesView<Column> gives one user's ring a series surface (size/latest/
-// window/staleness/iteration, values materialised as Stamped<T> on access)
-// for twin consumers — channel predictors, swiping aggregation, tests —
-// including the eviction-truncation contract: a window query whose `from`
-// predates the evicted range says so (truncated_before / window_query)
-// instead of silently returning a shorter window.
+// Consumers read one user's ring through for_each_in_window (the one
+// half-open [from, to) time filter) plus the flat value lanes, or through
+// size/time/get for single samples. The eviction-truncation contract: a
+// window whose `from` predates the evicted range says so
+// (truncated_before) instead of silently reading a shorter window.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "behavior/preference.hpp"
@@ -30,22 +29,6 @@
 #include "util/error.hpp"
 
 namespace dtmsv::twin {
-
-/// A timestamped observation.
-template <typename T>
-struct Stamped {
-  util::SimTime time = 0.0;
-  T value{};
-};
-
-/// Window query result that reports capacity truncation: `truncated` is
-/// true when samples with time >= `from` were already evicted, i.e. the
-/// returned window is missing history the caller asked for.
-template <typename T>
-struct WindowQuery {
-  std::vector<Stamped<T>> samples;
-  bool truncated = false;
-};
 
 /// Ring bookkeeping shared by every attribute column: the time column, the
 /// per-user {head, size} ring state, and the eviction metadata backing the
@@ -71,9 +54,10 @@ class RingColumnBase {
     return times_[slot(u, i)];
   }
 
-  /// Physical slot of user `u`'s i-th retained sample.
+  /// Physical slot of user `u`'s i-th retained sample (i < size(u)).
   std::size_t slot(std::size_t u, std::size_t i) const {
     const Ring& r = rings_[u];
+    DTMSV_EXPECTS(i < r.size);
     return u * capacity_ + (r.head + i) % capacity_;
   }
 
@@ -82,19 +66,25 @@ class RingColumnBase {
     return evicted_[u] != 0 && last_evicted_[u] >= from;
   }
 
-  /// Calls fn(physical_slot) over user `u`'s retained samples, oldest
-  /// first, as two contiguous segments (no per-sample modulo).
+  /// Calls fn(physical_slot) over user `u`'s samples with time in
+  /// [from, to), oldest first.
   template <typename Fn>
-  void for_each_slot(std::size_t u, Fn&& fn) const {
+  void for_each_in_window(std::size_t u, util::SimTime from, util::SimTime to,
+                          Fn&& fn) const {
+    DTMSV_EXPECTS(from <= to);
+    const auto visit = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t at = begin; at < end; ++at) {
+        if (times_[at] >= from && times_[at] < to) {
+          fn(at);
+        }
+      }
+    };
+    // The ring as two contiguous segments (no per-sample modulo).
     const Ring& r = rings_[u];
     const std::size_t base = u * capacity_;
     const std::size_t first = std::min<std::size_t>(r.size, capacity_ - r.head);
-    for (std::size_t i = 0; i < first; ++i) {
-      fn(base + r.head + i);
-    }
-    for (std::size_t i = 0; i < r.size - first; ++i) {
-      fn(base + i);
-    }
+    visit(base + r.head, base + r.head + first);
+    visit(base, base + r.size - first);
   }
 
   /// Recycles user `u`'s slots: empty ring, truncation metadata cleared.
@@ -239,6 +229,8 @@ class WatchColumn : public RingColumnBase {
     return obs;
   }
 
+  /// video::Category per slot, stored as its underlying byte.
+  const std::vector<std::uint8_t>& category() const { return category_; }
   const std::vector<double>& watch_fraction() const { return watch_fraction_; }
 
  private:
@@ -286,108 +278,5 @@ class PreferenceColumn : public RingColumnBase {
  private:
   std::array<std::vector<double>, video::kCategoryCount> weights_;
 };
-
-/// Read view of one user's ring inside a column, with the series query
-/// surface. Values are materialised Stamped<T> copies — the view
-/// never exposes interior pointers, so it stays valid across appends (it
-/// re-reads the ring on every call) and costs nothing to copy.
-template <typename Column>
-class SeriesView {
- public:
-  using value_type = Stamped<typename Column::value_type>;
-
-  SeriesView(const Column* column, std::size_t user)
-      : column_(column), user_(user) {}
-
-  std::size_t size() const { return column_->size(user_); }
-  bool empty() const { return column_->empty(user_); }
-  std::size_t capacity() const { return column_->capacity(); }
-
-  value_type operator[](std::size_t i) const {
-    return {column_->time(user_, i), column_->get(user_, i)};
-  }
-
-  value_type latest() const {
-    DTMSV_EXPECTS(!empty());
-    return (*this)[size() - 1];
-  }
-
-  value_type oldest() const {
-    DTMSV_EXPECTS(!empty());
-    return (*this)[0];
-  }
-
-  bool truncated_before(util::SimTime from) const {
-    return column_->truncated_before(user_, from);
-  }
-
-  /// Samples with time in [from, to), oldest first.
-  std::vector<value_type> window(util::SimTime from, util::SimTime to) const {
-    DTMSV_EXPECTS(from <= to);
-    std::vector<value_type> out;
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const util::SimTime t = column_->time(user_, i);
-      if (t >= from && t < to) {
-        out.push_back((*this)[i]);
-      }
-    }
-    return out;
-  }
-
-  /// Window query reporting eviction truncation (see WindowQuery).
-  WindowQuery<typename Column::value_type> window_query(util::SimTime from,
-                                                        util::SimTime to) const {
-    return {window(from, to), truncated_before(from)};
-  }
-
-  /// Age of the newest sample relative to `now`; +inf when empty.
-  double staleness(util::SimTime now) const {
-    if (empty()) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return std::max(0.0, now - column_->time(user_, size() - 1));
-  }
-
-  /// Forward iterator yielding Stamped<T> by value (oldest -> newest).
-  class const_iterator {
-   public:
-    using value_type = SeriesView::value_type;
-    using difference_type = std::ptrdiff_t;
-
-    const_iterator() = default;
-    const_iterator(const SeriesView* view, std::size_t i) : view_(view), i_(i) {}
-
-    value_type operator*() const { return (*view_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator old = *this;
-      ++*this;
-      return old;
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.i_ == b.i_;
-    }
-
-   private:
-    const SeriesView* view_ = nullptr;
-    std::size_t i_ = 0;
-  };
-
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, size()}; }
-
- private:
-  const Column* column_;
-  std::size_t user_;
-};
-
-using ChannelSeries = SeriesView<ChannelColumn>;
-using LocationSeries = SeriesView<LocationColumn>;
-using WatchSeries = SeriesView<WatchColumn>;
-using PreferenceSeries = SeriesView<PreferenceColumn>;
 
 }  // namespace dtmsv::twin

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/error.hpp"
 #include "video/catalog.hpp"
 
 namespace dtmsv::twin {
@@ -37,5 +38,14 @@ struct FeatureScaling {
 
   friend bool operator==(const FeatureScaling&, const FeatureScaling&) = default;
 };
+
+/// Throws util::PreconditionError unless every scale is positive (a zero
+/// scale would divide features into inf/NaN).
+inline void validate(const FeatureScaling& scaling) {
+  DTMSV_EXPECTS_MSG(scaling.pos_x_scale > 0.0 && scaling.pos_y_scale > 0.0 &&
+                        scaling.snr_scale_db > 0.0,
+                    "FeatureScaling: pos_x_scale, pos_y_scale and snr_scale_db "
+                    "must be positive");
+}
 
 }  // namespace dtmsv::twin

@@ -121,13 +121,14 @@ TEST_P(AccountingSweep, MulticastNeverCostsMoreThanUnicastForSharedViewing) {
 TEST_P(AccountingSweep, WatchEventsRespectOnAirCap) {
   core::Simulation sim(tiny_config(GetParam() + 400));
   sim.run(3);
-  const auto& twins = sim.twins();
-  for (std::size_t u = 0; u < twins.user_count(); ++u) {
-    for (const auto& s : twins.twin(u).watch()) {
-      EXPECT_GE(s.value.watch_seconds, 0.0);
-      EXPECT_LE(s.value.watch_seconds, s.value.duration_s + 1e-6);
-      EXPECT_GE(s.value.watch_fraction, 0.0);
-      EXPECT_LE(s.value.watch_fraction, 1.0 + 1e-9);
+  const twin::WatchColumn& watch = sim.twins().watch_column();
+  for (std::size_t u = 0; u < watch.user_count(); ++u) {
+    for (std::size_t i = 0; i < watch.size(u); ++i) {
+      const twin::WatchObservation s = watch.get(u, i);
+      EXPECT_GE(s.watch_seconds, 0.0);
+      EXPECT_LE(s.watch_seconds, s.duration_s + 1e-6);
+      EXPECT_GE(s.watch_fraction, 0.0);
+      EXPECT_LE(s.watch_fraction, 1.0 + 1e-9);
     }
   }
 }

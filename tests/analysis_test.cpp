@@ -21,6 +21,8 @@ namespace {
 
 using namespace dtmsv::analysis;
 using dtmsv::behavior::PreferenceVector;
+using dtmsv::twin::TwinColumnStore;
+using Members = std::vector<std::size_t>;
 using dtmsv::util::PreconditionError;
 using dtmsv::util::Rng;
 using dtmsv::video::Category;
@@ -119,30 +121,29 @@ TEST(SwipingDistribution, ObservationValidation) {
 }
 
 TEST(BuildGroupSwiping, AggregatesMemberHistories) {
-  dtmsv::twin::UserDigitalTwin a(0);
-  dtmsv::twin::UserDigitalTwin b(1);
+  TwinColumnStore twins(2);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_fraction = 0.9;
-  a.record_watch(10.0, w);
+  twins.record_watch(0, 10.0, w);
   w.watch_fraction = 0.1;
-  b.record_watch(20.0, w);
+  twins.record_watch(1, 20.0, w);
 
-  const auto dist = build_group_swiping({&a, &b}, 30.0, 30.0);
+  const auto dist = build_group_swiping(twins, Members{0, 1}, 30.0, 30.0);
   EXPECT_NEAR(dist.expected_watch_fraction(Category::kNews), 0.5, 0.06);
   EXPECT_DOUBLE_EQ(dist.mass(Category::kNews), 2.0);
 }
 
 TEST(BuildGroupSwiping, WindowExcludesOldEvents) {
-  dtmsv::twin::UserDigitalTwin a(0);
+  TwinColumnStore twin(1);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_fraction = 0.9;
-  a.record_watch(10.0, w);   // old
+  twin.record_watch(0, 10.0, w);   // old
   w.watch_fraction = 0.2;
-  a.record_watch(100.0, w);  // recent
+  twin.record_watch(0, 100.0, w);  // recent
 
-  const auto dist = build_group_swiping({&a}, 110.0, 30.0);
+  const auto dist = build_group_swiping(twin, Members{0}, 110.0, 30.0);
   EXPECT_DOUBLE_EQ(dist.mass(Category::kNews), 1.0);
   EXPECT_LT(dist.expected_watch_fraction(Category::kNews), 0.4);
 }
@@ -484,26 +485,27 @@ TEST(RecommenderEquivalence, RankedPathMatchesFullSortOnSingleVideoCatalog) {
 }
 
 TEST(AggregateGroupPreference, EvidenceWeighted) {
-  dtmsv::twin::UserDigitalTwin heavy(0);
-  dtmsv::twin::UserDigitalTwin light(1);
+  constexpr std::size_t kHeavy = 0;
+  constexpr std::size_t kLight = 1;
+  TwinColumnStore twins(2);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_seconds = 1000.0;
-  heavy.record_watch(1.0, w);
-  heavy.record_preference(2.0, heavy.preference_estimator().estimate());
+  twins.record_watch(kHeavy, 1.0, w);
+  twins.record_preference(kHeavy, 2.0, twins.estimator(kHeavy).estimate());
 
   w.category = Category::kGame;
   w.watch_seconds = 10.0;
-  light.record_watch(1.0, w);
-  light.record_preference(2.0, light.preference_estimator().estimate());
+  twins.record_watch(kLight, 1.0, w);
+  twins.record_preference(kLight, 2.0, twins.estimator(kLight).estimate());
 
-  const PreferenceVector pref = aggregate_group_preference({&heavy, &light});
+  const PreferenceVector pref = aggregate_group_preference(twins, Members{kHeavy, kLight});
   // Heavy user's News taste dominates the group profile.
   EXPECT_GT(pref[static_cast<std::size_t>(Category::kNews)], 0.8);
 }
 
 TEST(AggregateGroupPreference, EmptyGroupUniform) {
-  const PreferenceVector pref = aggregate_group_preference({});
+  const PreferenceVector pref = aggregate_group_preference(TwinColumnStore(1), {});
   for (const double p : pref) {
     EXPECT_DOUBLE_EQ(p, 1.0 / kCategoryCount);
   }

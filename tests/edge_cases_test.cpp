@@ -20,7 +20,7 @@
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
-#include "twin/udt.hpp"
+#include "twin/column_store.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -249,12 +249,13 @@ TEST(RecommenderCorners, ExtremePreferenceConcentratesPlaylist) {
 // ----------------------------------------------------- UDT window corners
 
 TEST(UdtCorners, WindowLargerThanHistory) {
-  twin::UserDigitalTwin twin(0);
+  twin::TwinColumnStore twin(1);
   const twin::FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
-  twin.record_channel(5.0, {10.0, 2.0, 0});
+  twin.record_channel(0, 5.0, {10.0, 2.0, 0});
   // Ask for a 1000-second window at t=10: only one sample exists.
-  const auto window = twin.feature_window(10.0, 1000.0, 8, scaling);
-  EXPECT_EQ(window.size(), twin::UserDigitalTwin::kFeatureChannels * 8);
+  std::vector<float> window(twin::TwinColumnStore::kFeatureChannels * 8);
+  twin.extract_window_row(0, {10.0, 1000.0, 8, scaling}, window.data());
+  EXPECT_EQ(window.size(), twin::TwinColumnStore::kFeatureChannels * 8);
   // The sample lands in the last bin region and holds forward; bins before
   // it are zero.
   EXPECT_EQ(window[0], 0.0f);
@@ -262,15 +263,16 @@ TEST(UdtCorners, WindowLargerThanHistory) {
 }
 
 TEST(UdtCorners, SummaryWithOnlyWatchData) {
-  twin::UserDigitalTwin twin(0);
+  twin::TwinColumnStore twin(1);
   const twin::FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   twin::WatchObservation w;
   w.category = video::Category::kComedy;
   w.watch_fraction = 0.4;
   w.watch_seconds = 4.0;
   w.duration_s = 10.0;
-  twin.record_watch(1.0, w);
-  const auto features = twin.summary_features(2.0, 2.0, scaling);
+  twin.record_watch(0, 1.0, w);
+  std::vector<double> features(twin::TwinColumnStore::kSummaryDim);
+  twin.extract_summary_row(0, {2.0, 2.0, scaling}, features.data());
   EXPECT_EQ(features.size(), 6u + video::kCategoryCount);
   EXPECT_DOUBLE_EQ(features[0], 0.0);  // no channel data
   EXPECT_DOUBLE_EQ(features[4], 0.4);  // mean watch fraction

@@ -183,7 +183,7 @@ TEST(SimulationFleet, ChurnSwapsAffinitiesAndResetsTwins) {
       after.insert(after.end(), aff.begin(), aff.end());
     }
     for (std::size_t u = 0; u < sim.config().user_count; ++u) {
-      if (sim.twins().twin(u).channel().empty()) {
+      if (sim.twins().channel_column().empty(u)) {
         ++reset_twins;  // newcomer: twin history wiped by the handover
       }
     }
@@ -211,8 +211,7 @@ TEST(SimulationFleet, ChurnRecyclingNeverLeaksHistoryIntoSnapshots) {
   std::vector<std::vector<float>> before(fleet.shard_count());
   for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
     const dtmsv::twin::WindowSpec spec{fleet.shard(s).now(), 60.0, 16, scaling};
-    const auto batch =
-        fleet.shard(s).twins().columns().feature_windows(spec, arenas[s]);
+    const auto batch = fleet.shard(s).twins().feature_windows(spec, arenas[s]);
     before[s].assign(batch.data(),
                      batch.data() + batch.size() * batch.window_size());
   }
@@ -230,7 +229,7 @@ TEST(SimulationFleet, ChurnRecyclingNeverLeaksHistoryIntoSnapshots) {
   for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
     const auto& sim = fleet.shard(s);
     const dtmsv::twin::WindowSpec spec{sim.now(), 60.0, 16, scaling};
-    const auto batch = sim.twins().columns().feature_windows(spec, arenas[s]);
+    const auto batch = sim.twins().feature_windows(spec, arenas[s]);
     for (std::size_t u = 0; u < batch.size(); ++u) {
       const auto row = batch.row(u);
       if (recycled[s].count(u) > 0) {
@@ -238,7 +237,7 @@ TEST(SimulationFleet, ChurnRecyclingNeverLeaksHistoryIntoSnapshots) {
           EXPECT_EQ(v, 0.0f) << "shard " << s << " slot " << u
                              << " leaked history through a handover";
         }
-        EXPECT_TRUE(sim.twins().twin(u).channel().empty());
+        EXPECT_TRUE(sim.twins().channel_column().empty(u));
       } else {
         for (std::size_t i = 0; i < row.size(); ++i) {
           EXPECT_EQ(row[i], before[s][u * batch.window_size() + i]);

@@ -154,13 +154,16 @@ TEST(Simulation, TwinsHoldFreshData) {
   Simulation sim(fast_config(15));
   sim.run(2);
   const auto& twins = sim.twins();
+  const auto& channel = twins.channel_column();
   std::size_t with_channel = 0;
   std::size_t with_watch = 0;
   for (std::size_t u = 0; u < twins.user_count(); ++u) {
-    if (twins.twin(u).channel().staleness(sim.now()) < 5.0) {
+    // Staleness: age of the newest channel report.
+    if (!channel.empty(u) &&
+        sim.now() - channel.time(u, channel.size(u) - 1) < 5.0) {
       ++with_channel;
     }
-    if (!twins.twin(u).watch().empty()) {
+    if (!twins.watch_column().empty(u)) {
       ++with_watch;
     }
   }

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <utility>
+#include <vector>
 
+#include "analysis/recommend.hpp"
+#include "analysis/swiping.hpp"
 #include "predict/baselines.hpp"
 #include "predict/channel_predictor.hpp"
 #include "predict/demand.hpp"
@@ -19,150 +24,238 @@ using dtmsv::util::Rng;
 using dtmsv::video::Category;
 using dtmsv::video::kCategoryCount;
 
-dtmsv::twin::UserDigitalTwin twin_with_efficiency_ramp(double start, double step,
-                                                       int samples) {
-  dtmsv::twin::UserDigitalTwin twin(0);
-  for (int t = 0; t < samples; ++t) {
-    dtmsv::twin::ChannelObservation obs;
-    obs.efficiency_bps_hz = start + step * t;
-    obs.snr_db = 10.0;
-    twin.record_channel(static_cast<double>(t), obs);
+using dtmsv::twin::ChannelObservation;
+using dtmsv::twin::TwinColumnStore;
+using Members = std::vector<std::size_t>;
+
+/// A store with one user per (start, step) pair, each holding the
+/// efficiency ramp start + step * t at t = 0 .. samples - 1.
+TwinColumnStore efficiency_ramps(std::initializer_list<std::pair<double, double>> ramps,
+                                 int samples) {
+  TwinColumnStore store(ramps.size());
+  std::size_t u = 0;
+  for (const auto& [start, step] : ramps) {
+    for (int t = 0; t < samples; ++t) {
+      ChannelObservation obs;
+      obs.efficiency_bps_hz = start + step * t;
+      obs.snr_db = 10.0;
+      store.record_channel(u, static_cast<double>(t), obs);
+    }
+    ++u;
   }
-  return twin;
+  return store;
+}
+
+TwinColumnStore efficiency_ramp(double start, double step, int samples) {
+  return efficiency_ramps({{start, step}}, samples);
 }
 
 // -------------------------------------------------------- channel predictors
 
 TEST(LastValuePredictor, ReturnsNewestSample) {
-  const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
+  const auto twin = efficiency_ramp(1.0, 0.1, 10);
   LastValuePredictor pred;
-  EXPECT_NEAR(pred.predict(twin.channel(), 10.0, 10.0, 0.5), 1.9, 1e-9);
+  EXPECT_NEAR(pred.predict(twin.channel_column(), 0, 10.0, 10.0, 0.5), 1.9, 1e-9);
 }
 
 TEST(LastValuePredictor, FallbackWhenEmpty) {
-  dtmsv::twin::UserDigitalTwin twin(0);
+  const TwinColumnStore twin(1);
   LastValuePredictor pred;
-  EXPECT_DOUBLE_EQ(pred.predict(twin.channel(), 10.0, 10.0, 0.7), 0.7);
+  EXPECT_DOUBLE_EQ(pred.predict(twin.channel_column(), 0, 10.0, 10.0, 0.7), 0.7);
+}
+
+TEST(LastValuePredictor, RejectsOutOfRangeUser) {
+  const auto twin = efficiency_ramp(1.0, 0.1, 10);
+  LastValuePredictor pred;
+  EXPECT_THROW(pred.predict(twin.channel_column(), 1, 10.0, 10.0, 0.5),
+               PreconditionError);
 }
 
 TEST(EwmaPredictor, WeighsRecentMore) {
-  const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
+  const auto twin = efficiency_ramp(1.0, 0.1, 10);
   EwmaPredictor pred(0.5);
-  const double p = pred.predict(twin.channel(), 10.0, 10.0, 0.5);
+  const double p = pred.predict(twin.channel_column(), 0, 10.0, 10.0, 0.5);
   // Between the window mean (1.45) and the last value (1.9), nearer the last.
   EXPECT_GT(p, 1.45);
   EXPECT_LT(p, 1.9);
 }
 
 TEST(EwmaPredictor, ConstantSeriesExact) {
-  const auto twin = twin_with_efficiency_ramp(2.5, 0.0, 20);
+  const auto twin = efficiency_ramp(2.5, 0.0, 20);
   EwmaPredictor pred(0.3);
-  EXPECT_NEAR(pred.predict(twin.channel(), 20.0, 20.0, 0.5), 2.5, 1e-9);
+  EXPECT_NEAR(pred.predict(twin.channel_column(), 0, 20.0, 20.0, 0.5), 2.5, 1e-9);
 }
 
 TEST(LinearTrendPredictor, ExtrapolatesRamp) {
   // efficiency(t) = 1 + 0.1 t; horizon is measured from `now` = 10, so the
   // forecast lands at t = 15 → 1 + 0.1·15 = 2.5.
-  const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
+  const auto twin = efficiency_ramp(1.0, 0.1, 10);
   LinearTrendPredictor pred(5.0);
-  EXPECT_NEAR(pred.predict(twin.channel(), 10.0, 10.0, 0.5), 2.5, 0.05);
+  EXPECT_NEAR(pred.predict(twin.channel_column(), 0, 10.0, 10.0, 0.5), 2.5, 0.05);
 }
 
 TEST(LinearTrendPredictor, ClampsNegativeForecast) {
-  const auto twin = twin_with_efficiency_ramp(1.0, -0.2, 10);
+  const auto twin = efficiency_ramp(1.0, -0.2, 10);
   LinearTrendPredictor pred(100.0);
-  EXPECT_GE(pred.predict(twin.channel(), 10.0, 10.0, 0.5), 0.0);
+  EXPECT_GE(pred.predict(twin.channel_column(), 0, 10.0, 10.0, 0.5), 0.0);
 }
 
 TEST(MeanPredictor, WindowAverage) {
-  const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
+  const auto twin = efficiency_ramp(1.0, 0.1, 10);
   MeanPredictor pred;
-  EXPECT_NEAR(pred.predict(twin.channel(), 10.0, 10.0, 0.5), 1.45, 1e-9);
+  EXPECT_NEAR(pred.predict(twin.channel_column(), 0, 10.0, 10.0, 0.5), 1.45, 1e-9);
 }
 
 TEST(MeanPredictor, WindowRestriction) {
-  const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
+  const auto twin = efficiency_ramp(1.0, 0.1, 10);
   MeanPredictor pred;
   // Only samples t in [7, 10): 1.7, 1.8, 1.9.
-  EXPECT_NEAR(pred.predict(twin.channel(), 10.0, 3.0, 0.5), 1.8, 1e-9);
+  EXPECT_NEAR(pred.predict(twin.channel_column(), 0, 10.0, 3.0, 0.5), 1.8, 1e-9);
 }
 
 TEST(GroupEfficiency, TakesWorstMember) {
-  const auto strong = twin_with_efficiency_ramp(4.0, 0.0, 5);
-  const auto weak = twin_with_efficiency_ramp(0.8, 0.0, 5);
+  const auto twins = efficiency_ramps({{4.0, 0.0}, {0.8, 0.0}}, 5);
   MeanPredictor pred;
-  const double eff =
-      predict_group_efficiency({&strong, &weak}, pred, 5.0, 5.0, 0.05);
+  const double eff = predict_group_efficiency(twins, Members{0, 1}, pred, 5.0, 5.0, 0.05);
   EXPECT_NEAR(eff, 0.8, 1e-9);
 }
 
 TEST(GroupEfficiency, FloorApplied) {
-  const auto outage = twin_with_efficiency_ramp(0.0, 0.0, 5);
+  const auto outage = efficiency_ramp(0.0, 0.0, 5);
   MeanPredictor pred;
-  const double eff = predict_group_efficiency({&outage}, pred, 5.0, 5.0, 0.05);
+  const double eff = predict_group_efficiency(outage, Members{0}, pred, 5.0, 5.0, 0.05);
   EXPECT_DOUBLE_EQ(eff, 0.05);
 }
 
 TEST(GroupEfficiency, EmptyGroupRejected) {
+  const TwinColumnStore twins(1);
   MeanPredictor pred;
-  EXPECT_THROW(predict_group_efficiency({}, pred, 5.0, 5.0, 0.05),
+  EXPECT_THROW(predict_group_efficiency(twins, {}, pred, 5.0, 5.0, 0.05),
                PreconditionError);
 }
 
 TEST(GroupEfficiencyJoint, ConstantMembersGiveMin) {
-  const auto a = twin_with_efficiency_ramp(3.0, 0.0, 10);
-  const auto b = twin_with_efficiency_ramp(1.5, 0.0, 10);
-  const double eff = predict_group_efficiency_joint({&a, &b}, 10.0, 10.0, 0.05);
+  const auto twins = efficiency_ramps({{3.0, 0.0}, {1.5, 0.0}}, 10);
+  const double eff = predict_group_efficiency_joint(twins, Members{0, 1}, 10.0, 10.0, 0.05);
   EXPECT_NEAR(eff, 1.5, 1e-9);
+}
+
+TEST(GroupEfficiencyJoint, RejectsOutOfRangeMember) {
+  const auto twins = efficiency_ramps({{3.0, 0.0}, {1.5, 0.0}}, 10);
+  EXPECT_THROW(predict_group_efficiency_joint(twins, Members{0, 2}, 10.0, 10.0, 0.05),
+               PreconditionError);
 }
 
 TEST(GroupEfficiencyJoint, HarmonicMeanOfAlternatingSeries) {
   // One member alternates 1 and 3 each second: harmonic mean = 2/(1+1/3) = 1.5.
-  dtmsv::twin::UserDigitalTwin twin(0);
+  TwinColumnStore twin(1);
   for (int t = 0; t < 10; ++t) {
-    dtmsv::twin::ChannelObservation obs;
+    ChannelObservation obs;
     obs.efficiency_bps_hz = (t % 2 == 0) ? 1.0 : 3.0;
-    twin.record_channel(static_cast<double>(t), obs);
+    twin.record_channel(0, static_cast<double>(t), obs);
   }
-  const double eff = predict_group_efficiency_joint({&twin}, 10.0, 10.0, 0.05);
+  const double eff = predict_group_efficiency_joint(twin, Members{0}, 10.0, 10.0, 0.05);
   EXPECT_NEAR(eff, 1.5, 1e-9);
 }
 
 TEST(GroupEfficiencyJoint, BelowMinOfMeansForFluctuatingMembers) {
   // Two members fade out of phase: min-series is 1 everywhere, while each
   // member's own mean is 2 — the joint estimate must catch the min bias.
-  dtmsv::twin::UserDigitalTwin a(0);
-  dtmsv::twin::UserDigitalTwin b(1);
+  TwinColumnStore twins(2);
   for (int t = 0; t < 10; ++t) {
-    dtmsv::twin::ChannelObservation oa;
-    dtmsv::twin::ChannelObservation ob;
+    ChannelObservation oa;
+    ChannelObservation ob;
     oa.efficiency_bps_hz = (t % 2 == 0) ? 1.0 : 3.0;
     ob.efficiency_bps_hz = (t % 2 == 0) ? 3.0 : 1.0;
-    a.record_channel(static_cast<double>(t), oa);
-    b.record_channel(static_cast<double>(t), ob);
+    twins.record_channel(0, static_cast<double>(t), oa);
+    twins.record_channel(1, static_cast<double>(t), ob);
   }
-  const double joint = predict_group_efficiency_joint({&a, &b}, 10.0, 10.0, 0.05);
+  const double joint =
+      predict_group_efficiency_joint(twins, Members{0, 1}, 10.0, 10.0, 0.05);
   EXPECT_NEAR(joint, 1.0, 1e-9);
   MeanPredictor pred;
-  const double naive = predict_group_efficiency({&a, &b}, pred, 10.0, 10.0, 0.05);
+  const double naive =
+      predict_group_efficiency(twins, Members{0, 1}, pred, 10.0, 10.0, 0.05);
   EXPECT_NEAR(naive, 2.0, 1e-9);
   EXPECT_LT(joint, naive);
 }
 
 TEST(GroupEfficiencyJoint, HoldsThroughMissingSamples) {
   // Sparse reports (loss): gaps are held from the last sample.
-  dtmsv::twin::UserDigitalTwin twin(0);
-  dtmsv::twin::ChannelObservation obs;
+  TwinColumnStore twin(1);
+  ChannelObservation obs;
   obs.efficiency_bps_hz = 2.0;
-  twin.record_channel(1.0, obs);  // only one report in a 10-s window
-  const double eff = predict_group_efficiency_joint({&twin}, 10.0, 10.0, 0.05);
+  twin.record_channel(0, 1.0, obs);  // only one report in a 10-s window
+  const double eff = predict_group_efficiency_joint(twin, Members{0}, 10.0, 10.0, 0.05);
   EXPECT_NEAR(eff, 2.0, 1e-9);
 }
 
 TEST(GroupEfficiencyJoint, EmptyHistoryFallsToFloor) {
-  dtmsv::twin::UserDigitalTwin twin(0);
-  const double eff = predict_group_efficiency_joint({&twin}, 10.0, 10.0, 0.05);
+  const TwinColumnStore twin(1);
+  const double eff = predict_group_efficiency_joint(twin, Members{0}, 10.0, 10.0, 0.05);
   EXPECT_DOUBLE_EQ(eff, 0.05);
+}
+
+TEST(GroupConsumers, SharedStoreMembersMatchDedicatedStore) {
+  // Members {1, 3} of a 4-user store must read exactly what a store holding
+  // only those two users' histories reads: the member span picks slots and
+  // nothing of users 0 and 2 leaks in.
+  TwinColumnStore shared(4);
+  TwinColumnStore dedicated(2);
+  Rng rng(21);
+  for (int t = 0; t < 120; ++t) {
+    for (std::size_t u = 0; u < 4; ++u) {
+      ChannelObservation obs{rng.uniform(-5.0, 25.0), rng.uniform(0.1, 5.0), 0};
+      dtmsv::twin::WatchObservation watch;
+      watch.category = dtmsv::video::all_categories()[(u + static_cast<std::size_t>(t)) %
+                                                      kCategoryCount];
+      watch.watch_seconds = rng.uniform(1.0, 20.0);
+      watch.watch_fraction = rng.uniform();
+      const bool reports_watch = (t + static_cast<int>(u)) % 7 == 0;
+      shared.record_channel(u, t, obs);
+      if (reports_watch) {
+        shared.record_watch(u, t, watch);
+      }
+      if (u == 1 || u == 3) {
+        const std::size_t d = u / 2;  // 1 -> 0, 3 -> 1
+        dedicated.record_channel(d, t, obs);
+        if (reports_watch) {
+          dedicated.record_watch(d, t, watch);
+        }
+      }
+    }
+    if (t == 60) {
+      shared.record_preference(3, t, shared.estimator(3).estimate());
+      dedicated.record_preference(1, t, dedicated.estimator(1).estimate());
+    }
+  }
+  const Members in_shared{1, 3};
+  const Members in_dedicated{0, 1};
+
+  const GroupChannelForecast a = forecast_group_channel(shared, in_shared, 120.0, 90.0);
+  const GroupChannelForecast b =
+      forecast_group_channel(dedicated, in_dedicated, 120.0, 90.0);
+  EXPECT_EQ(a.efficiency, b.efficiency);
+  EXPECT_EQ(a.min_series, b.min_series);
+
+  const auto swipe_a = dtmsv::analysis::build_group_swiping(shared, in_shared, 120.0, 90.0);
+  const auto swipe_b =
+      dtmsv::analysis::build_group_swiping(dedicated, in_dedicated, 120.0, 90.0);
+  double total_mass = 0.0;
+  for (const Category c : dtmsv::video::all_categories()) {
+    EXPECT_EQ(swipe_a.mass(c), swipe_b.mass(c));
+    EXPECT_EQ(swipe_a.expected_watch_fraction(c), swipe_b.expected_watch_fraction(c));
+    EXPECT_EQ(swipe_a.expected_max_watch_fraction(c, 2),
+              swipe_b.expected_max_watch_fraction(c, 2));
+    total_mass += swipe_a.mass(c);
+  }
+  EXPECT_GT(total_mass, 0.0);
+
+  EXPECT_EQ(dtmsv::analysis::aggregate_group_preference(shared, in_shared),
+            dtmsv::analysis::aggregate_group_preference(dedicated, in_dedicated));
+  // And the shared store's other members do change the answer.
+  EXPECT_NE(forecast_group_channel(shared, Members{0, 1, 2, 3}, 120.0, 90.0).min_series,
+            a.min_series);
 }
 
 // ------------------------------------------------------------- ContentStats

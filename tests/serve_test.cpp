@@ -312,6 +312,42 @@ TEST(ServeLoop, RejectsBadConfigAndBadEvents) {
   EXPECT_THROW(loop.advance_to(4.0), util::PreconditionError);
 }
 
+TEST(ServeLoop, RejectsNonPositiveFeatureScalingAtConstruction) {
+  // A bad scale must fail at construction: otherwise the summary rung
+  // divides into inf/NaN features and the cnn rung throws out of
+  // advance_to, in an always-on loop.
+  core::ManualServeClock clock;
+  const auto with = [](auto&& set) {
+    core::ServeConfig cfg = small_serve();
+    set(cfg.scaling);
+    return cfg;
+  };
+  const std::vector<core::ServeConfig> bad = {
+      with([](twin::FeatureScaling& s) { s.pos_x_scale = 0.0; }),
+      with([](twin::FeatureScaling& s) { s.pos_y_scale = -1.0; }),
+      with([](twin::FeatureScaling& s) { s.snr_scale_db = 0.0; }),
+      with([](twin::FeatureScaling& s) {
+        s.pos_x_scale = std::numeric_limits<double>::quiet_NaN();
+      }),
+  };
+  for (const core::ServeConfig& cfg : bad) {
+    EXPECT_THROW(core::validate(cfg), util::PreconditionError);
+    EXPECT_THROW(core::ServeLoop(cfg, clock), util::PreconditionError);
+  }
+  // Any positive scales are accepted, and both rungs then predict.
+  core::ServeConfig cfg = with([](twin::FeatureScaling& s) { s.pos_x_scale = 1.0; });
+  cfg.degradation.step_down_after = 1;
+  cfg.deadline_ms = 1e-9;  // every prediction misses: rung 0, then rung 1
+  core::CollectingSink sink;
+  core::ServeLoop loop(cfg, clock, &sink);
+  offer_reports(loop, 1.0, 12);
+  ASSERT_NO_THROW(loop.advance_to(20.0));
+  ASSERT_EQ(sink.reports.size(), 2u);
+  for (const core::GroupReport& group : sink.groups) {
+    EXPECT_TRUE(std::isfinite(group.predicted_radio_hz));
+  }
+}
+
 // Bad reports are refused at offer() and counted, one class per test: the
 // loop keeps serving, good reports around them are ingested, and each
 // interval record carries the count rejected since the previous one.
@@ -414,8 +450,8 @@ void expect_watch_reports_rejected(
   ASSERT_NO_THROW(loop.advance_to(10.0));
   EXPECT_EQ(loop.stats().events_rejected, corrupt.size());
   EXPECT_EQ(loop.stats().events_ingested, 13u);
-  EXPECT_TRUE(loop.twins().twin(6).watch().empty());
-  EXPECT_EQ(loop.twins().twin(7).watch().size(), 1u);
+  EXPECT_TRUE(loop.twins().watch_column().empty(6));
+  EXPECT_EQ(loop.twins().watch_column().size(7), 1u);
   ASSERT_EQ(sink.reports.size(), 1u);
   EXPECT_EQ(sink.reports[0].events_rejected,
             std::optional<std::uint64_t>(corrupt.size()));

@@ -1,9 +1,9 @@
-// Unit tests for dtmsv::twin — the columnar ring-buffer store (series
-// semantics: ordering, eviction, half-open windows, staleness, truncation
-// reporting; SoA layout, slot recycling, batch arena extraction and
-// its thread-count invariance), UDT feature extraction,
-// the twin store, and the per-attribute collector including loss/latency
-// failure injection.
+// Unit tests for dtmsv::twin — the columnar ring-buffer store (ring
+// semantics: ordering, eviction, half-open window scans across the wrap,
+// truncation reporting; SoA layout, lane sizing, slot recycling, batch
+// arena extraction, its spec checks and its thread-count invariance),
+// one-user feature extraction, and the per-attribute collector including
+// loss/latency failure injection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,8 +12,6 @@
 #include "mobility/random_waypoint.hpp"
 #include "twin/collector.hpp"
 #include "twin/column_store.hpp"
-#include "twin/store.hpp"
-#include "twin/udt.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "wireless/channel.hpp"
@@ -28,17 +26,41 @@ using dtmsv::util::Rng;
 
 ChannelObservation snr(double db) { return {db, 2.0, 0}; }
 
+/// SNRs of user `u`'s channel samples in [from, to), oldest first.
+std::vector<double> window_snr(const ChannelColumn& column, std::size_t u, double from,
+                               double to) {
+  std::vector<double> out;
+  column.for_each_in_window(u, from, to,
+                            [&](std::size_t at) { out.push_back(column.snr()[at]); });
+  return out;
+}
+
+/// Single-row extraction into owning vectors.
+std::vector<float> window_row(const TwinColumnStore& store, std::size_t u,
+                              const WindowSpec& spec) {
+  std::vector<float> out(TwinColumnStore::kFeatureChannels * spec.timesteps);
+  store.extract_window_row(u, spec, out.data());
+  return out;
+}
+
+std::vector<double> summary_row(const TwinColumnStore& store, std::size_t u,
+                                const SummarySpec& spec) {
+  std::vector<double> out(TwinColumnStore::kSummaryDim);
+  store.extract_summary_row(u, spec, out.data());
+  return out;
+}
+
 TEST(TwinColumnStore, RingRecordsLatestAndOldest) {
   ChannelColumn column(1, 8);
-  const ChannelSeries series(&column, 0);
-  EXPECT_TRUE(series.empty());
-  EXPECT_THROW(series.latest(), PreconditionError);
-  EXPECT_THROW(series.oldest(), PreconditionError);
+  EXPECT_TRUE(column.empty(0));
+  EXPECT_THROW(column.get(0, 0), PreconditionError);
+  EXPECT_THROW(column.time(0, 0), PreconditionError);
   column.record(0, 1.0, snr(10.0));
   column.record(0, 2.0, snr(20.0));
-  EXPECT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series.latest().value.snr_db, 20.0);
-  EXPECT_DOUBLE_EQ(series.oldest().value.snr_db, 10.0);
+  EXPECT_EQ(column.size(0), 2u);
+  EXPECT_DOUBLE_EQ(column.get(0, 1).snr_db, 20.0);
+  EXPECT_DOUBLE_EQ(column.get(0, 0).snr_db, 10.0);
+  EXPECT_THROW(column.get(0, 2), PreconditionError);
 }
 
 TEST(TwinColumnStore, RingRejectsZeroCapacity) {
@@ -50,27 +72,57 @@ TEST(TwinColumnStore, RingWindowIsHalfOpen) {
   for (int i = 0; i < 10; ++i) {
     column.record(0, static_cast<double>(i), snr(i));
   }
-  const auto window = ChannelSeries(&column, 0).window(3.0, 7.0);
+  const auto window = window_snr(column, 0, 3.0, 7.0);
   ASSERT_EQ(window.size(), 4u);  // t = 3,4,5,6
-  EXPECT_DOUBLE_EQ(window.front().value.snr_db, 3.0);
-  EXPECT_DOUBLE_EQ(window.back().value.snr_db, 6.0);
+  EXPECT_DOUBLE_EQ(window.front(), 3.0);
+  EXPECT_DOUBLE_EQ(window.back(), 6.0);
+  EXPECT_THROW(window_snr(column, 0, 7.0, 3.0), PreconditionError);
 }
 
 TEST(TwinColumnStore, RingWindowOutsideSamplesIsEmpty) {
   ChannelColumn column(1, 4);
   column.record(0, 10.0, snr(1.0));
-  const ChannelSeries series(&column, 0);
-  EXPECT_TRUE(series.window(0.0, 5.0).empty());
-  EXPECT_TRUE(series.window(11.0, 20.0).empty());
+  EXPECT_TRUE(window_snr(column, 0, 0.0, 5.0).empty());
+  EXPECT_TRUE(window_snr(column, 0, 11.0, 20.0).empty());
 }
 
-TEST(TwinColumnStore, RingStaleness) {
+TEST(TwinColumnStore, RingNewestTimestamp) {
   ChannelColumn column(1, 4);
-  const ChannelSeries series(&column, 0);
-  EXPECT_TRUE(std::isinf(series.staleness(0.0)));
+  EXPECT_TRUE(column.empty(0));
   column.record(0, 10.0, snr(1.0));
-  EXPECT_DOUBLE_EQ(series.staleness(15.0), 5.0);
-  EXPECT_DOUBLE_EQ(series.staleness(5.0), 0.0);  // clamped
+  column.record(0, 12.0, snr(1.0));
+  EXPECT_DOUBLE_EQ(column.time(0, column.size(0) - 1), 12.0);
+  EXPECT_DOUBLE_EQ(column.time(0, 0), 10.0);
+}
+
+TEST(RingColumn, WindowScanIsHalfOpenAcrossWrap) {
+  // Capacity 4, 7 samples at t = 0..6: the ring holds t = 3..6 and its
+  // head sits mid-buffer, so the retained run wraps the physical slots.
+  ChannelColumn column(2, 4);
+  for (int i = 0; i < 7; ++i) {
+    column.record(0, static_cast<double>(i), snr(10.0 * i));
+  }
+  ASSERT_EQ(column.size(0), 4u);
+  ASSERT_NE(column.slot(0, 0), 0u);  // head != 0
+  ASSERT_LT(column.slot(0, 3), column.slot(0, 0));  // wrapped
+  const auto visit = [&](double from, double to) {
+    std::vector<double> times;
+    column.for_each_in_window(0, from, to, [&](std::size_t at) {
+      times.push_back(column.times()[at]);
+      EXPECT_DOUBLE_EQ(column.snr()[at], 10.0 * column.times()[at]);
+    });
+    return times;
+  };
+  EXPECT_EQ(visit(3.0, 7.0), (std::vector<double>{3.0, 4.0, 5.0, 6.0}));
+  EXPECT_EQ(visit(4.0, 6.0), (std::vector<double>{4.0, 5.0}));  // to excluded
+  EXPECT_EQ(visit(4.5, 6.0), (std::vector<double>{5.0}));
+  EXPECT_EQ(visit(0.0, 100.0), (std::vector<double>{3.0, 4.0, 5.0, 6.0}));
+  EXPECT_TRUE(visit(5.0, 5.0).empty());
+  EXPECT_TRUE(visit(0.0, 3.0).empty());  // evicted samples are gone
+  // The neighbouring user's slots are never visited.
+  std::size_t other = 0;
+  column.for_each_in_window(1, 0.0, 100.0, [&](std::size_t) { ++other; });
+  EXPECT_EQ(other, 0u);
 }
 
 TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
@@ -78,31 +130,44 @@ TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
   for (int i = 0; i < 6; ++i) {
     store.record_channel(0, static_cast<double>(i), {static_cast<double>(i), 2.0, 0});
   }
-  const ChannelSeries series = store.channel(0);
-  EXPECT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.capacity(), 3u);
-  EXPECT_DOUBLE_EQ(series.oldest().time, 3.0);
-  EXPECT_DOUBLE_EQ(series.latest().value.snr_db, 5.0);
-  // A query starting inside the evicted range must say so instead of
-  // silently returning the shorter retained window.
-  EXPECT_TRUE(series.truncated_before(2.0));   // t=2 was evicted
-  EXPECT_FALSE(series.truncated_before(2.5));  // everything >= 2.5 retained
-  EXPECT_FALSE(series.truncated_before(3.0));
-  const auto query = series.window_query(0.0, 10.0);
-  EXPECT_TRUE(query.truncated);
-  ASSERT_EQ(query.samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(query.samples.front().value.snr_db, 3.0);
-  EXPECT_FALSE(series.window_query(3.0, 10.0).truncated);
+  const ChannelColumn& column = store.channel_column();
+  EXPECT_EQ(column.size(0), 3u);
+  EXPECT_EQ(column.capacity(), 3u);
+  EXPECT_DOUBLE_EQ(column.time(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(column.get(0, column.size(0) - 1).snr_db, 5.0);
+  // A window starting inside the evicted range must say so instead of
+  // silently reading the shorter retained window.
+  EXPECT_TRUE(column.truncated_before(0, 2.0));   // t=2 was evicted
+  EXPECT_FALSE(column.truncated_before(0, 2.5));  // everything >= 2.5 retained
+  EXPECT_FALSE(column.truncated_before(0, 3.0));
+  EXPECT_TRUE(column.truncated_before(0, 0.0));
+  const auto window = window_snr(column, 0, 0.0, 10.0);
+  ASSERT_EQ(window.size(), 3u);
+  EXPECT_DOUBLE_EQ(window.front(), 3.0);
   // The neighbouring user's ring is untouched (fixed-stride slots).
-  EXPECT_TRUE(store.channel(1).empty());
-  EXPECT_FALSE(store.channel(1).truncated_before(0.0));
+  EXPECT_TRUE(column.empty(1));
+  EXPECT_FALSE(column.truncated_before(1, 0.0));
   // Before any eviction a non-empty ring is not truncated either.
   store.record_channel(1, 1.0, snr(1.0));
-  EXPECT_FALSE(store.channel(1).truncated_before(0.0));
-  EXPECT_FALSE(store.channel(1).window_query(0.0, 2.0).truncated);
+  EXPECT_FALSE(column.truncated_before(1, 0.0));
   // Recycling the slot forgets the eviction history with the samples.
   store.reset_user(0);
-  EXPECT_FALSE(store.channel(0).truncated_before(0.0));
+  EXPECT_FALSE(column.truncated_before(0, 0.0));
+}
+
+TEST(TwinColumnStore, SparseLanesKeepAShareOfTheChannelCapacity) {
+  const TwinColumnStore store(1, 2048);
+  EXPECT_EQ(store.history_capacity(), 2048u);
+  EXPECT_EQ(store.channel_column().capacity(), 2048u);
+  EXPECT_EQ(store.location_column().capacity(), 512u);
+  EXPECT_EQ(store.watch_column().capacity(), 256u);
+  EXPECT_EQ(store.preference_column().capacity(), 128u);
+  // Floored at min(history_capacity, 64).
+  const TwinColumnStore small(1, 100);
+  EXPECT_EQ(small.location_column().capacity(), 64u);
+  EXPECT_EQ(small.preference_column().capacity(), 64u);
+  const TwinColumnStore tiny(1, 3);
+  EXPECT_EQ(tiny.watch_column().capacity(), 3u);
 }
 
 TEST(TwinColumnStore, RingRejectsTimeTravelPerUser) {
@@ -113,37 +178,37 @@ TEST(TwinColumnStore, RingRejectsTimeTravelPerUser) {
   store.record_channel(1, 1.0, {3.0, 1.0, 0});  // other users independent
 }
 
-TEST(TwinColumnStore, BatchRowsMatchPerTwinExtraction) {
-  TwinStore store(3);
+TEST(TwinColumnStore, BatchRowsMatchSingleRowExtraction) {
+  TwinColumnStore store(3);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   for (int t = 0; t < 30; ++t) {
-    store.twin(0).record_channel(t, {10.0 + t, 2.0, 0});
+    store.record_channel(0, t, {10.0 + t, 2.0, 0});
     if (t % 3 == 0) {
-      store.twin(1).record_location(t, {50.0, 25.0});
+      store.record_location(1, t, {50.0, 25.0});
     }
   }
   WatchObservation w;
   w.category = dtmsv::video::Category::kMusic;
   w.watch_seconds = 12.0;
   w.watch_fraction = 0.6;
-  store.twin(2).record_watch(5.0, w);
+  store.record_watch(2, 5.0, w);
 
   FeatureArena arena;
   const WindowSpec spec{30.0, 30.0, 8, scaling};
-  const WindowBatch windows = store.columns().feature_windows(spec, arena);
-  const SummaryBatch summaries =
-      store.columns().summary_features({30.0, 30.0, scaling}, arena);
+  const SummarySpec summary_spec{30.0, 30.0, scaling};
+  const WindowBatch windows = store.feature_windows(spec, arena);
+  const SummaryBatch summaries = store.summary_features(summary_spec, arena);
   ASSERT_EQ(windows.size(), 3u);
   ASSERT_EQ(summaries.size(), 3u);
   for (std::size_t u = 0; u < 3; ++u) {
     const auto row = windows.row(u);
-    const auto single = store.twin(u).feature_window(30.0, 30.0, 8, scaling);
+    const auto single = window_row(store, u, spec);
     ASSERT_EQ(row.size(), single.size());
     for (std::size_t i = 0; i < single.size(); ++i) {
       EXPECT_EQ(row[i], single[i]) << "user " << u << " element " << i;
     }
     const auto srow = summaries.row(u);
-    const auto ssingle = store.twin(u).summary_features(30.0, 30.0, scaling);
+    const auto ssingle = summary_row(store, u, summary_spec);
     ASSERT_EQ(srow.size(), ssingle.size());
     for (std::size_t i = 0; i < ssingle.size(); ++i) {
       EXPECT_EQ(srow[i], ssingle[i]) << "user " << u << " element " << i;
@@ -151,22 +216,49 @@ TEST(TwinColumnStore, BatchRowsMatchPerTwinExtraction) {
   }
 }
 
+TEST(TwinColumnStore, NonPositiveScalingRejectedByBothBatchPaths) {
+  TwinColumnStore store(2);
+  store.record_location(0, 1.0, {50.0, 25.0});
+  FeatureArena arena;
+  std::vector<double> summary(TwinColumnStore::kSummaryDim);
+  std::vector<float> window(TwinColumnStore::kFeatureChannels * 8);
+  for (const FeatureScaling bad : {FeatureScaling{0.0, 100.0, 10.0, 40.0},
+                                   FeatureScaling{100.0, -1.0, 10.0, 40.0},
+                                   FeatureScaling{100.0, 100.0, 10.0, 0.0}}) {
+    // The summary path would otherwise divide by zero into inf/NaN rows.
+    EXPECT_THROW(store.summary_features({10.0, 10.0, bad}, arena), PreconditionError);
+    EXPECT_THROW(store.extract_summary_row(0, {10.0, 10.0, bad}, summary.data()),
+                 PreconditionError);
+    EXPECT_THROW(store.feature_windows({10.0, 10.0, 8, bad}, arena), PreconditionError);
+    EXPECT_THROW(store.extract_window_row(0, {10.0, 10.0, 8, bad}, window.data()),
+                 PreconditionError);
+  }
+  EXPECT_THROW(store.summary_features({10.0, 0.0, {}}, arena), PreconditionError);
+  EXPECT_THROW(store.feature_windows({10.0, 10.0, 0, {}}, arena), PreconditionError);
+  // A valid spec still extracts finite rows.
+  const SummaryBatch ok = store.summary_features({10.0, 10.0, {100.0, 100.0, 10.0, 40.0}},
+                                                 arena);
+  for (const double v : ok.row(0)) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+}
+
 TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
-  TwinStore store(3);
+  TwinColumnStore store(3);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   for (int t = 0; t < 40; ++t) {
-    store.twin(1).record_channel(t, {25.0, 4.0, 0});
+    store.record_channel(1, t, {25.0, 4.0, 0});
   }
   WatchObservation w;
   w.category = dtmsv::video::Category::kGame;
   w.watch_seconds = 30.0;
   w.watch_fraction = 0.9;
-  store.twin(1).record_watch(10.0, w);
-  store.twin(1).record_preference(20.0, store.twin(1).preference_estimator().estimate());
+  store.record_watch(1, 10.0, w);
+  store.record_preference(1, 20.0, store.estimator(1).estimate());
 
   FeatureArena arena;
   const WindowSpec spec{40.0, 40.0, 8, scaling};
-  const WindowBatch before = store.columns().feature_windows(spec, arena);
+  const WindowBatch before = store.feature_windows(spec, arena);
   bool any_nonzero = false;
   for (const float v : before.row(1)) {
     any_nonzero |= v != 0.0f;
@@ -176,26 +268,26 @@ TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
   // Handover: the slot is recycled in place — no history, no estimator
   // evidence, no stale truncation flag.
   store.reset_user(1);
-  EXPECT_TRUE(store.twin(1).channel().empty());
-  EXPECT_TRUE(store.twin(1).watch().empty());
-  EXPECT_TRUE(store.twin(1).preference().empty());
-  EXPECT_DOUBLE_EQ(store.twin(1).preference_estimator().evidence_seconds(), 0.0);
-  EXPECT_FALSE(store.twin(1).channel().truncated_before(0.0));
+  EXPECT_TRUE(store.channel_column().empty(1));
+  EXPECT_TRUE(store.watch_column().empty(1));
+  EXPECT_TRUE(store.preference_column().empty(1));
+  EXPECT_DOUBLE_EQ(store.estimator(1).evidence_seconds(), 0.0);
+  EXPECT_FALSE(store.channel_column().truncated_before(1, 0.0));
 
   // The next snapshot must not leak the previous user's rows: the
   // recycled slot's row is all-zero, exactly a never-used slot's row.
-  const WindowBatch after = store.columns().feature_windows(spec, arena);
-  TwinStore fresh_store(3);
+  const WindowBatch after = store.feature_windows(spec, arena);
+  TwinColumnStore fresh_store(3);
   FeatureArena fresh_arena;
-  const WindowBatch fresh = fresh_store.columns().feature_windows(spec, fresh_arena);
+  const WindowBatch fresh = fresh_store.feature_windows(spec, fresh_arena);
   ASSERT_EQ(after.window_size(), fresh.window_size());
   for (std::size_t i = 0; i < after.window_size(); ++i) {
     EXPECT_EQ(after.row(1)[i], 0.0f) << "element " << i;
     EXPECT_EQ(after.row(1)[i], fresh.row(1)[i]) << "element " << i;
   }
   // Recording for the newcomer restarts cleanly from an empty ring.
-  store.twin(1).record_channel(41.0, {12.0, 2.0, 0});
-  EXPECT_EQ(store.twin(1).channel().size(), 1u);
+  store.record_channel(1, 41.0, {12.0, 2.0, 0});
+  EXPECT_EQ(store.channel_column().size(1), 1u);
 }
 
 TEST(TwinColumnStore, BatchExtractionThreadCountInvariant) {
@@ -203,18 +295,18 @@ TEST(TwinColumnStore, BatchExtractionThreadCountInvariant) {
   const WindowSpec spec{60.0, 60.0, 16, scaling};
   const auto run_with_threads = [&](std::size_t threads) {
     dtmsv::util::set_thread_count(threads);
-    TwinStore store(64);
+    TwinColumnStore store(64);
     for (std::size_t u = 0; u < 64; ++u) {
       for (int t = 0; t < 60; ++t) {
-        store.twin(u).record_channel(
-            t, {5.0 + 0.1 * static_cast<double>(u * 60 + t), 2.0, 0});
+        store.record_channel(
+            u, t, {5.0 + 0.1 * static_cast<double>(u * 60 + t), 2.0, 0});
       }
     }
     for (std::size_t u = 0; u < 64; u += 7) {
-      store.columns().record_channel(u, 59.5, {30.0, 5.0, 0});
+      store.record_channel(u, 59.5, {30.0, 5.0, 0});
     }
     FeatureArena arena;
-    const WindowBatch batch = store.columns().feature_windows(spec, arena);
+    const WindowBatch batch = store.feature_windows(spec, arena);
     std::vector<float> bytes(batch.data(),
                              batch.data() + batch.size() * batch.window_size());
     dtmsv::util::set_thread_count(0);  // restore env/hardware default
@@ -228,47 +320,52 @@ TEST(TwinColumnStore, BatchExtractionThreadCountInvariant) {
   }
 }
 
-// -------------------------------------------------------------------- UDT
+// ---------------------------------------------------------- one-user twin
 
-TEST(UserDigitalTwin, RecordsAllFourAttributes) {
-  UserDigitalTwin twin(3);
-  EXPECT_EQ(twin.user_id(), 3u);
-  twin.record_channel(1.0, {12.0, 2.5, 0});
-  twin.record_location(1.0, {100.0, 200.0});
+TEST(OneUserTwin, RecordsAllFourAttributes) {
+  TwinColumnStore twin(1);
+  twin.record_channel(0, 1.0, {12.0, 2.5, 0});
+  twin.record_location(0, 1.0, {100.0, 200.0});
   WatchObservation w;
   w.category = dtmsv::video::Category::kNews;
   w.watch_seconds = 10.0;
   w.watch_fraction = 0.5;
   w.duration_s = 20.0;
-  twin.record_watch(2.0, w);
-  twin.record_preference(3.0, twin.preference_estimator().estimate());
+  twin.record_watch(0, 2.0, w);
+  twin.record_preference(0, 3.0, twin.estimator(0).estimate());
 
-  EXPECT_EQ(twin.channel().size(), 1u);
-  EXPECT_EQ(twin.location().size(), 1u);
-  EXPECT_EQ(twin.watch().size(), 1u);
-  EXPECT_EQ(twin.preference().size(), 1u);
+  EXPECT_EQ(twin.channel_column().size(0), 1u);
+  EXPECT_EQ(twin.location_column().size(0), 1u);
+  EXPECT_EQ(twin.watch_column().size(0), 1u);
+  EXPECT_EQ(twin.preference_column().size(0), 1u);
 }
 
-TEST(UserDigitalTwin, WatchIngestionFeedsPreferenceEstimator) {
-  UserDigitalTwin twin(0);
+TEST(OneUserTwin, WatchIngestionFeedsPreferenceEstimator) {
+  TwinColumnStore twin(1);
   WatchObservation w;
   w.category = dtmsv::video::Category::kMusic;
   w.watch_seconds = 42.0;
-  twin.record_watch(1.0, w);
-  const auto est = twin.preference_estimator().estimate();
+  twin.record_watch(0, 1.0, w);
+  const auto est = twin.estimator(0).estimate();
   EXPECT_GT(est[static_cast<std::size_t>(dtmsv::video::Category::kMusic)], 0.5);
-  EXPECT_DOUBLE_EQ(twin.preference_estimator().evidence_seconds(), 42.0);
+  EXPECT_DOUBLE_EQ(twin.estimator(0).evidence_seconds(), 42.0);
+  // Before any snapshot, the latest preference is the estimator's.
+  EXPECT_EQ(twin.latest_preference(0), est);
+  dtmsv::behavior::PreferenceVector snapshot{};
+  snapshot[0] = 1.0;
+  twin.record_preference(0, 2.0, snapshot);
+  EXPECT_EQ(twin.latest_preference(0), snapshot);
 }
 
-TEST(UserDigitalTwin, FeatureWindowShapeAndRange) {
-  UserDigitalTwin twin(0);
+TEST(OneUserTwin, FeatureWindowShapeAndRange) {
+  TwinColumnStore twin(1);
   const FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
   for (int t = 0; t < 60; ++t) {
-    twin.record_channel(static_cast<double>(t), {15.0, 3.0, 0});
-    twin.record_location(static_cast<double>(t), {600.0, 500.0});
+    twin.record_channel(0, static_cast<double>(t), {15.0, 3.0, 0});
+    twin.record_location(0, static_cast<double>(t), {600.0, 500.0});
   }
-  const auto window = twin.feature_window(60.0, 60.0, 16, scaling);
-  ASSERT_EQ(window.size(), UserDigitalTwin::kFeatureChannels * 16);
+  const auto window = window_row(twin, 0, {60.0, 60.0, 16, scaling});
+  ASSERT_EQ(window.size(), TwinColumnStore::kFeatureChannels * 16);
   for (const float v : window) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_GE(v, -0.01f);
@@ -284,35 +381,35 @@ TEST(UserDigitalTwin, FeatureWindowShapeAndRange) {
   }
 }
 
-TEST(UserDigitalTwin, FeatureWindowZeroOrderHold) {
-  UserDigitalTwin twin(0);
+TEST(OneUserTwin, FeatureWindowZeroOrderHold) {
+  TwinColumnStore twin(1);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   // One sample early in the window; later bins must hold its value.
-  twin.record_channel(1.0, {10.0, 2.0, 0});
-  const auto window = twin.feature_window(32.0, 32.0, 8, scaling);
+  twin.record_channel(0, 1.0, {10.0, 2.0, 0});
+  const auto window = window_row(twin, 0, {32.0, 32.0, 8, scaling});
   const float expected = (10.0f + 10.0f) / 40.0f;
   EXPECT_NEAR(window[0], expected, 1e-5);
   EXPECT_NEAR(window[7], expected, 1e-5);  // held forward
 }
 
-TEST(UserDigitalTwin, FeatureWindowEmptyTwinAllZero) {
-  UserDigitalTwin twin(0);
+TEST(OneUserTwin, FeatureWindowEmptyTwinAllZero) {
+  const TwinColumnStore twin(1);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
-  const auto window = twin.feature_window(100.0, 50.0, 8, scaling);
+  const auto window = window_row(twin, 0, {100.0, 50.0, 8, scaling});
   // Preference channels hold zeros too (no snapshots yet).
   for (const float v : window) {
     EXPECT_EQ(v, 0.0f);
   }
 }
 
-TEST(UserDigitalTwin, SummaryFeaturesContent) {
-  UserDigitalTwin twin(0);
+TEST(OneUserTwin, SummaryFeaturesContent) {
+  TwinColumnStore twin(1);
   const FeatureScaling scaling{1000.0, 1000.0, 10.0, 40.0};
   for (int t = 0; t < 10; ++t) {
-    twin.record_channel(static_cast<double>(t), {10.0, 2.0, 0});
-    twin.record_location(static_cast<double>(t), {500.0, 250.0});
+    twin.record_channel(0, static_cast<double>(t), {10.0, 2.0, 0});
+    twin.record_location(0, static_cast<double>(t), {500.0, 250.0});
   }
-  const auto features = twin.summary_features(10.0, 10.0, scaling);
+  const auto features = summary_row(twin, 0, {10.0, 10.0, scaling});
   ASSERT_EQ(features.size(), 6u + dtmsv::video::kCategoryCount);
   EXPECT_NEAR(features[0], 0.5, 1e-9);   // mean snr normalised
   EXPECT_NEAR(features[1], 0.0, 1e-9);   // snr stddev
@@ -320,42 +417,43 @@ TEST(UserDigitalTwin, SummaryFeaturesContent) {
   EXPECT_NEAR(features[3], 0.25, 1e-9);  // y
 }
 
-// ------------------------------------------------------------------- Store
+// ------------------------------------------------------------- population
 
-TEST(TwinStore, OwnsOneTwinPerUser) {
-  TwinStore store(5);
+TEST(TwinColumnStore, OneSlotPerUser) {
+  TwinColumnStore store(5);
   EXPECT_EQ(store.user_count(), 5u);
-  for (std::uint64_t u = 0; u < 5; ++u) {
-    EXPECT_EQ(store.twin(u).user_id(), u);
+  for (std::size_t u = 0; u < 5; ++u) {
+    store.record_channel(u, 1.0, snr(static_cast<double>(u)));
+    EXPECT_DOUBLE_EQ(store.channel_column().get(u, 0).snr_db, static_cast<double>(u));
   }
-  EXPECT_THROW(store.twin(5), PreconditionError);
+  EXPECT_THROW(store.record_channel(5, 1.0, snr(0.0)), PreconditionError);
+  EXPECT_THROW(store.latest_preference(5), PreconditionError);
+  EXPECT_THROW(TwinColumnStore(0), PreconditionError);
 }
 
-TEST(TwinStore, BulkFeatureExtraction) {
-  TwinStore store(3);
+TEST(TwinColumnStore, BulkFeatureExtraction) {
+  TwinColumnStore store(3);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
-  store.twin(0).record_channel(1.0, {20.0, 4.0, 0});
+  store.record_channel(0, 1.0, {20.0, 4.0, 0});
   // The WindowBatch/SummaryBatch views are the only bulk surface; their
-  // rows must be bit-identical to the per-twin single-row extraction.
+  // rows must be bit-identical to the single-row extraction.
   FeatureArena arena;
-  const WindowBatch batch =
-      store.columns().feature_windows({10.0, 10.0, 8, scaling}, arena);
+  const WindowBatch batch = store.feature_windows({10.0, 10.0, 8, scaling}, arena);
   ASSERT_EQ(batch.size(), 3u);
   for (std::size_t u = 0; u < 3; ++u) {
     const auto row = batch.row(u);
-    ASSERT_EQ(row.size(), UserDigitalTwin::kFeatureChannels * 8);
-    const std::vector<float> single = store.twin(u).feature_window(10.0, 10.0, 8, scaling);
+    ASSERT_EQ(row.size(), TwinColumnStore::kFeatureChannels * 8);
+    const std::vector<float> single = window_row(store, u, {10.0, 10.0, 8, scaling});
     ASSERT_EQ(single.size(), row.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(single[i], row[i]);
     }
   }
-  const SummaryBatch summaries =
-      store.columns().summary_features({10.0, 10.0, scaling}, arena);
+  const SummaryBatch summaries = store.summary_features({10.0, 10.0, scaling}, arena);
   ASSERT_EQ(summaries.size(), 3u);
   for (std::size_t u = 0; u < 3; ++u) {
     const auto row = summaries.row(u);
-    const std::vector<double> single = store.twin(u).summary_features(10.0, 10.0, scaling);
+    const std::vector<double> single = summary_row(store, u, {10.0, 10.0, scaling});
     ASSERT_EQ(single.size(), row.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(single[i], row[i]);
@@ -363,17 +461,21 @@ TEST(TwinStore, BulkFeatureExtraction) {
   }
 }
 
-TEST(TwinStore, DecayPreferencesAcrossAllTwins) {
-  TwinStore store(2);
+TEST(TwinColumnStore, DecayPreferencesAcrossAllTwins) {
+  TwinColumnStore store(2);
   WatchObservation w;
   w.category = dtmsv::video::Category::kGame;
   w.watch_seconds = 100.0;
-  store.twin(0).record_watch(1.0, w);
-  store.twin(1).record_watch(1.0, w);
-  const double before = store.twin(0).preference_estimator().evidence_seconds();
+  store.record_watch(0, 1.0, w);
+  store.record_watch(1, 1.0, w);
+  const double before = store.estimator(0).evidence_seconds();
   store.decay_preferences();
-  EXPECT_LT(store.twin(0).preference_estimator().evidence_seconds(), before);
-  EXPECT_LT(store.twin(1).preference_estimator().evidence_seconds(), before);
+  EXPECT_LT(store.estimator(0).evidence_seconds(), before);
+  EXPECT_LT(store.estimator(1).evidence_seconds(), before);
+  const double after_all = store.estimator(1).evidence_seconds();
+  store.decay_preference(1);
+  EXPECT_LT(store.estimator(1).evidence_seconds(), after_all);
+  EXPECT_DOUBLE_EQ(store.estimator(0).evidence_seconds(), after_all);
 }
 
 // --------------------------------------------------------------- Collector
@@ -387,7 +489,7 @@ struct CollectorFixture {
   dtmsv::wireless::RadioConfig radio{};
   Rng channel_rng{100};
   dtmsv::wireless::ChannelModel channel{map, radio, users, channel_rng};
-  TwinStore store{users};
+  TwinColumnStore store{users};
 
   void run(StatusCollector& collector, int seconds) {
     for (int t = 0; t < seconds; ++t) {
@@ -412,7 +514,7 @@ TEST(StatusCollector, RespectsPerAttributePeriods) {
   // Location fires at t=1 (first due) then every 5 s: t=1,5,10,15,20 → 5.
   EXPECT_EQ(stats.location_reports, 5u * fx.users);
   EXPECT_EQ(stats.dropped_reports, 0u);
-  EXPECT_EQ(fx.store.twin(0).channel().size(), 20u);
+  EXPECT_EQ(fx.store.channel_column().size(0), 20u);
 }
 
 TEST(StatusCollector, ReportLossDropsShare) {
@@ -430,8 +532,8 @@ TEST(StatusCollector, ReportLossDropsShare) {
       static_cast<double>(delivered + stats.dropped_reports);
   EXPECT_NEAR(loss_rate, 0.5, 0.1);
   // Twins still usable, just sparser.
-  EXPECT_GT(fx.store.twin(0).channel().size(), 20u);
-  EXPECT_LT(fx.store.twin(0).channel().size(), 80u);
+  EXPECT_GT(fx.store.channel_column().size(0), 20u);
+  EXPECT_LT(fx.store.channel_column().size(0), 80u);
 }
 
 TEST(StatusCollector, LatencyShiftsVisibility) {
@@ -441,8 +543,8 @@ TEST(StatusCollector, LatencyShiftsVisibility) {
   StatusCollector collector(policy, fx.users, Rng(3));
   fx.run(collector, 5);
   // Measurements at t=1..5 are stamped 11..15: not visible in [0, 6).
-  EXPECT_TRUE(fx.store.twin(0).channel().window(0.0, 6.0).empty());
-  EXPECT_EQ(fx.store.twin(0).channel().window(0.0, 16.0).size(), 5u);
+  EXPECT_TRUE(window_snr(fx.store.channel_column(), 0, 0.0, 6.0).empty());
+  EXPECT_EQ(window_snr(fx.store.channel_column(), 0, 0.0, 16.0).size(), 5u);
 }
 
 TEST(StatusCollector, WatchEventsAreEventDriven) {
@@ -463,12 +565,13 @@ TEST(StatusCollector, WatchEventsAreEventDriven) {
   collector.tick(1.0, 1.0, fx.store, fx.channel, fx.field, {ev});
 
   EXPECT_EQ(collector.stats().watch_reports, 1u);
-  ASSERT_EQ(fx.store.twin(2).watch().size(), 1u);
-  const auto& obs = fx.store.twin(2).watch().latest().value;
+  const WatchColumn& watch = fx.store.watch_column();
+  ASSERT_EQ(watch.size(2), 1u);
+  const WatchObservation obs = watch.get(2, 0);
   EXPECT_EQ(obs.video_id, 17u);
   EXPECT_DOUBLE_EQ(obs.watch_fraction, 0.5);
   // Other twins untouched.
-  EXPECT_EQ(fx.store.twin(0).watch().size(), 0u);
+  EXPECT_EQ(watch.size(0), 0u);
 }
 
 TEST(StatusCollector, InvalidPolicyRejected) {

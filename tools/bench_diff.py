@@ -31,6 +31,9 @@ import re
 import sys
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def die(message):
     print(f"bench_diff: {message}", file=sys.stderr)
     sys.exit(2)
@@ -57,7 +60,8 @@ def load_benchmarks(path, metric):
         value = entry.get(metric, entry.get("real_time"))
         if name is None or value is None:
             continue
-        out[name] = float(value)  # benchmark emits times in ns
+        # Times are in the entry's time_unit (bench_e2e_scale reports ms).
+        out[name] = float(value) * NS_PER_UNIT[entry.get("time_unit", "ns")]
         if entry.get("pool_threads") is not None:
             pool[name] = int(entry["pool_threads"])
     if not out:
