@@ -4,8 +4,7 @@
 // (how much spectrum a planner reserving prediction + 10% headroom wastes
 // or misses), and the per-stage wall-time breakdown of the interval loop
 // (compression vs. grouping vs. demand prediction vs. environment
-// simulation), emitted into BENCH_micro_perf.json so the perf trajectory
-// can attribute interval cost per stage.
+// simulation) as a console table.
 //
 // Shape to reproduce: short intervals track the system closely but are
 // noisy (few videos per interval); very long intervals average nicely but
@@ -13,7 +12,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "bench_to_json.hpp"
 
 namespace {
 
@@ -95,7 +93,6 @@ int main() {
   // actually spends its time (per simulated interval, milliseconds).
   util::Table stages({"interval", "simulate ms", "feature ms", "grouping ms",
                       "demand ms", "pipeline share"});
-  std::vector<bench::ManualBenchResult> json;
   for (const auto& r : results) {
     const auto n = static_cast<double>(std::max<std::size_t>(r.timings.intervals, 1));
     const double total = r.timings.total_s();
@@ -106,20 +103,7 @@ int main() {
                     util::fixed(1e3 * r.timings.demand_s / n, 2),
                     total > 0.0 ? util::percent(r.timings.pipeline_s() / total, 1)
                                 : "-"});
-    bench::ManualBenchResult entry;
-    entry.name = "ABL_INT/StageBreakdown/interval_" +
-                 std::to_string(static_cast<int>(r.interval_s)) + "s";
-    entry.real_time_s = total / n;
-    entry.counters = {
-        {"simulate_s_per_interval", r.timings.simulate_s / n},
-        {"feature_s_per_interval", r.timings.feature_s / n},
-        {"grouping_s_per_interval", r.timings.grouping_s / n},
-        {"demand_s_per_interval", r.timings.demand_s / n},
-        {"scored_intervals", static_cast<double>(r.timings.intervals)},
-    };
-    json.push_back(std::move(entry));
   }
   stages.print("ABL-INT: per-stage wall time per interval");
-  bench::write_manual_benchmarks_json("BENCH_micro_perf.json", json);
   return 0;
 }

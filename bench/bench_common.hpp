@@ -44,8 +44,6 @@ struct RunSeries : public core::ReportSink {
   std::vector<double> actual_radio;
   std::vector<double> predicted_compute;
   std::vector<double> actual_compute;
-  std::vector<std::size_t> k_chosen;
-  std::vector<double> silhouette;
 
   void add(const core::EpochReport& report) {
     if (!report.has_prediction) {
@@ -55,8 +53,6 @@ struct RunSeries : public core::ReportSink {
     actual_radio.push_back(report.actual_radio_hz_total);
     predicted_compute.push_back(report.predicted_compute_total);
     actual_compute.push_back(report.actual_compute_total);
-    k_chosen.push_back(report.k);
-    silhouette.push_back(report.silhouette);
   }
 
   void on_interval(const core::EpochReport& report) override { add(report); }
@@ -74,40 +70,6 @@ struct RunSeries : public core::ReportSink {
     const auto acc =
         util::volume_weighted_accuracy(actual_compute, predicted_compute);
     return acc.value_or(0.0);
-  }
-
-  double mean_silhouette() const {
-    if (silhouette.empty()) {
-      return 0.0;
-    }
-    return util::mean(silhouette);
-  }
-
-  double mean_k() const {
-    if (k_chosen.empty()) {
-      return 0.0;
-    }
-    double total = 0.0;
-    for (const std::size_t k : k_chosen) {
-      total += static_cast<double>(k);
-    }
-    return total / static_cast<double>(k_chosen.size());
-  }
-
-  /// Keeps only the last `n` entries (steady-state slice after the DDQN's
-  /// exploration has decayed).
-  RunSeries tail(std::size_t n) const {
-    RunSeries out;
-    const std::size_t start = size() > n ? size() - n : 0;
-    for (std::size_t i = start; i < size(); ++i) {
-      out.predicted_radio.push_back(predicted_radio[i]);
-      out.actual_radio.push_back(actual_radio[i]);
-      out.predicted_compute.push_back(predicted_compute[i]);
-      out.actual_compute.push_back(actual_compute[i]);
-      out.k_chosen.push_back(k_chosen[i]);
-      out.silhouette.push_back(silhouette[i]);
-    }
-    return out;
   }
 };
 

@@ -197,24 +197,23 @@ SimPlan load_plan(util::Config& config) {
             check_stage_keys({base.feature_stage}, base.grouping_stage,
                              base.demand_stage);
 
-            SimJob job;
-            job.label = kind_name;
+            std::string label = kind_name;
             if (seeds.size() > 1) {
-              job.label += "/seed=" + seed_text;
+              label += "/seed=";
+              label += seed_text;
             }
             if (stage_grid) {
               const auto name = [](const std::string& key) {
                 return key.empty() ? std::string("default") : key;
               };
-              job.label += "/";
-              job.label += name(feature);
-              job.label += "+";
-              job.label += name(grouping);
-              job.label += "+";
-              job.label += name(demand);
+              label += "/";
+              label += name(feature);
+              label += "+";
+              label += name(grouping);
+              label += "+";
+              label += name(demand);
             }
-            job.scenario = std::move(cfg);
-            plan.jobs.push_back(std::move(job));
+            plan.jobs.push_back({std::move(label), std::move(cfg)});
           }
         }
       }

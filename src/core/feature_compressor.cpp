@@ -65,33 +65,6 @@ nn::Tensor& FeatureCompressor::gather_batch(const twin::WindowBatch& windows,
   return batch_;
 }
 
-twin::WindowBatch FeatureCompressor::stage_windows(
-    const std::vector<std::vector<float>>& windows) {
-  DTMSV_EXPECTS(!windows.empty());
-  staging_.resize(windows.size() * input_size());
-  float* out = staging_.data();
-  for (const auto& w : windows) {
-    DTMSV_EXPECTS_MSG(w.size() == input_size(),
-                      "FeatureCompressor: window size mismatch");
-    out = std::copy(w.begin(), w.end(), out);
-  }
-  return twin::WindowBatch(staging_.data(), windows.size(), input_size());
-}
-
-float FeatureCompressor::fit(const std::vector<std::vector<float>>& windows) {
-  return fit(stage_windows(windows));
-}
-
-clustering::Points FeatureCompressor::embed(
-    const std::vector<std::vector<float>>& windows) {
-  return embed(stage_windows(windows));
-}
-
-float FeatureCompressor::reconstruction_loss(
-    const std::vector<std::vector<float>>& windows) {
-  return reconstruction_loss(stage_windows(windows));
-}
-
 float FeatureCompressor::fit(const twin::WindowBatch& windows) {
   DTMSV_EXPECTS(!windows.empty());
   float last_epoch_loss = 0.0f;

@@ -3,10 +3,9 @@
 // data." Trained online as an autoencoder (reconstruction MSE) over the
 // users' feature windows; the bottleneck embedding feeds clustering.
 //
-// The interval path feeds it twin::WindowBatch views straight out of the
-// columnar extraction arena — one flat float matrix end to end, no
-// per-user window vectors. The nested-vector overloads are convenience
-// copies for out-of-tree callers and tests.
+// It reads twin::WindowBatch views straight out of the columnar
+// extraction arena — one flat float matrix end to end, no per-user window
+// vectors.
 #pragma once
 
 #include <memory>
@@ -50,12 +49,6 @@ class FeatureCompressor {
   /// Mean reconstruction MSE of the given windows under the current model.
   float reconstruction_loss(const twin::WindowBatch& windows);
 
-  /// Convenience copies of the batch entry points (flatten one vector per
-  /// user into a staging buffer first; the interval path never does this).
-  float fit(const std::vector<std::vector<float>>& windows);
-  clustering::Points embed(const std::vector<std::vector<float>>& windows);
-  float reconstruction_loss(const std::vector<std::vector<float>>& windows);
-
   const CompressorConfig& config() const { return config_; }
   std::size_t input_size() const { return config_.channels * config_.timesteps; }
   nn::Sequential& encoder() { return *encoder_; }
@@ -68,9 +61,6 @@ class FeatureCompressor {
   nn::Tensor& gather_batch(const twin::WindowBatch& windows,
                            const std::size_t* indices, std::size_t begin,
                            std::size_t end);
-  /// Copies a nested-vector window set into the flat staging buffer and
-  /// wraps it as a batch view (validating row sizes).
-  twin::WindowBatch stage_windows(const std::vector<std::vector<float>>& windows);
 
   CompressorConfig config_;
   util::Rng rng_;
@@ -80,7 +70,6 @@ class FeatureCompressor {
   nn::Tensor batch_;  // reused [N,C,T] staging buffer for fit/embed
   nn::LossResult loss_;  // reused reconstruction loss and its gradient
   std::vector<std::size_t> order_;  // fit's shuffled window order
-  std::vector<float> staging_;  // legacy-overload flattening buffer
 };
 
 }  // namespace dtmsv::core

@@ -151,7 +151,7 @@ class DdqnGroupingStage final : public GroupingStage {
 };
 
 /// Baseline stages: a clustering::KSelector chooses K, then K-means++ and a
-/// sampled silhouette — the ablation arms of ABL-CLU behind one adapter.
+/// sampled silhouette — the non-DDQN grouping keys behind one adapter.
 class SelectorGroupingStage final : public GroupingStage {
  public:
   SelectorGroupingStage(std::string key,

@@ -221,7 +221,7 @@ struct FeatureOutput {
   float reconstruction_loss = 0.0f;
 };
 
-/// Produces the per-user features the grouping stage clusters (ABL-CMP).
+/// Produces the per-user features the grouping stage clusters.
 /// Stateful stages (the CNN autoencoder trains online) keep their state
 /// across intervals; one instance serves one Simulation.
 class FeatureStage {
@@ -249,7 +249,7 @@ struct GroupingOutcome {
   double epsilon = 0.0;  // exploration rate for learning stages (0 otherwise)
 };
 
-/// Chooses the grouping number and clusters users (ABL-CLU). Learning
+/// Chooses the grouping number and clusters users. Learning
 /// stages receive the demand-prediction error of the interval their previous
 /// decision governed through report_outcome (the delayed reward).
 class GroupingStage {
@@ -296,7 +296,7 @@ struct GroupDemandForecast {
 };
 
 /// Predicts one group's next-interval radio and computing demand from the
-/// abstracted group information (ABL-PRED).
+/// abstracted group information.
 class DemandStage {
  public:
   virtual ~DemandStage() = default;
@@ -381,8 +381,8 @@ std::string demand_stage_key(const SchemeConfig& config);
 // ------------------------------------------------------------ stage timings
 
 /// Cumulative wall-time breakdown of the interval loop, attributing cost to
-/// environment simulation vs. the three pipeline stages (bench ABL-INT
-/// emits this into BENCH_micro_perf.json).
+/// environment simulation vs. the three pipeline stages (printed by
+/// bench_ablation_interval).
 struct StageTimings {
   double simulate_s = 0.0;  // tick loop: mobility, channel, playback, UDTs
   double feature_s = 0.0;   // FeatureStage::extract

@@ -102,7 +102,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ReportSink* sink) {
   std::vector<double> radio_predicted;
   std::vector<double> compute_actual;
   std::vector<double> compute_predicted;
+  double k_sum = 0.0;
+  double silhouette_sum = 0.0;
+  std::size_t predicted_shards = 0;
   for (const FleetReport& r : result.reports) {
+    for (const ShardSummary& shard : r.shards) {
+      if (shard.has_prediction) {
+        k_sum += static_cast<double>(shard.k);
+        silhouette_sum += shard.silhouette;
+        ++predicted_shards;
+      }
+    }
     if (r.shard_radio_error.empty()) {
       continue;  // no shard had a prediction this interval
     }
@@ -116,6 +126,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ReportSink* sink) {
   result.compute_accuracy =
       util::volume_weighted_accuracy(compute_actual, compute_predicted)
           .value_or(0.0);
+  if (predicted_shards > 0) {
+    result.mean_k = k_sum / static_cast<double>(predicted_shards);
+    result.mean_silhouette = silhouette_sum / static_cast<double>(predicted_shards);
+  }
   return result;
 }
 

@@ -111,7 +111,11 @@ CampusMap CampusMap::grid(std::size_t cols, std::size_t rows, double spacing) {
   wps.reserve(cols * rows);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      wps.push_back({"g" + std::to_string(r) + "_" + std::to_string(c),
+      std::string name = "g";
+      name += std::to_string(r);
+      name += '_';
+      name += std::to_string(c);
+      wps.push_back({std::move(name),
                      {spacing * static_cast<double>(c) + spacing / 2.0,
                       spacing * static_cast<double>(r) + spacing / 2.0},
                      {}});

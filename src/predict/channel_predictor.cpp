@@ -190,11 +190,4 @@ GroupChannelForecast forecast_group_channel(const twin::TwinColumnStore& twins,
   return forecast;
 }
 
-double predict_group_efficiency_joint(const twin::TwinColumnStore& twins,
-                                      std::span<const std::size_t> members,
-                                      util::SimTime now, double window_s,
-                                      double floor, double bin_s) {
-  return forecast_group_channel(twins, members, now, window_s, floor, bin_s).efficiency;
-}
-
 }  // namespace dtmsv::predict

@@ -256,4 +256,48 @@ TEST(ScenarioLoader, GridAndSingleValueFormsAreMutuallyExclusive) {
   EXPECT_THROW(cli::load_plan(both_stage), util::RuntimeError);
 }
 
+TEST(ScenarioLoader, AblationConfigsLoadOneJobPerArm) {
+  struct Expected {
+    const char* file;
+    std::vector<std::string> labels;
+    std::uint64_t seed;
+    std::size_t intervals;
+  };
+  const std::vector<Expected> configs = {
+      {"ablation_feature.ini",
+       {"steady_state/cnn+ddqn+joint", "steady_state/raw+ddqn+joint",
+        "steady_state/summary+ddqn+joint"},
+       11, 46},
+      {"ablation_grouping.ini",
+       {"steady_state/cnn+ddqn+joint", "steady_state/cnn+fixed+joint",
+        "steady_state/cnn+elbow+joint", "steady_state/cnn+random+joint",
+        "steady_state/cnn+silhouette+joint"},
+       7, 80},
+      {"ablation_demand.ini",
+       {"steady_state/cnn+ddqn+joint", "steady_state/cnn+ddqn+last_value",
+        "steady_state/cnn+ddqn+ewma", "steady_state/cnn+ddqn+linear_trend",
+        "steady_state/cnn+ddqn+mean"},
+       13, 46},
+  };
+  for (const Expected& expected : configs) {
+    SCOPED_TRACE(expected.file);
+    Config c = Config::read_file(std::string(DTMSV_CONFIG_DIR) + "/" +
+                                 expected.file);
+    const cli::SimPlan plan = cli::load_plan(c);
+    ASSERT_EQ(plan.jobs.size(), expected.labels.size());
+    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+      const cli::SimJob& job = plan.jobs[i];
+      EXPECT_EQ(job.label, expected.labels[i]);
+      EXPECT_EQ(job.scenario.kind, core::ScenarioKind::kSteadyState);
+      EXPECT_EQ(job.scenario.seed, expected.seed);
+      EXPECT_EQ(job.scenario.intervals, expected.intervals);
+      EXPECT_EQ(job.scenario.total_users, 80u);
+      EXPECT_EQ(job.scenario.cell_count, 1u);
+      EXPECT_DOUBLE_EQ(job.scenario.base.interval_s, 180.0);
+      EXPECT_DOUBLE_EQ(job.scenario.base.demand.interval_s, 180.0);
+      EXPECT_DOUBLE_EQ(job.scenario.base.feature_window_s, 360.0);
+    }
+  }
+}
+
 }  // namespace

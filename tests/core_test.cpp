@@ -14,6 +14,7 @@ namespace {
 
 using namespace dtmsv::core;
 using dtmsv::clustering::Points;
+using dtmsv::twin::WindowBatch;
 using dtmsv::util::PreconditionError;
 using dtmsv::util::Rng;
 
@@ -31,23 +32,32 @@ CompressorConfig small_compressor() {
   return cfg;
 }
 
+/// Row-major windows (one channels*timesteps row each) and the batch view
+/// over them.
+struct Windows {
+  std::vector<float> data;
+  std::size_t window_size = 0;
+
+  WindowBatch batch() const {
+    return WindowBatch(data.data(), data.size() / window_size, window_size);
+  }
+};
+
 /// Windows with two latent modes: flat-low and oscillating-high.
-std::vector<std::vector<float>> two_mode_windows(std::size_t per_mode, Rng& rng) {
+Windows two_mode_windows(std::size_t per_mode, Rng& rng) {
   const CompressorConfig cfg = small_compressor();
-  std::vector<std::vector<float>> windows;
+  Windows windows;
+  windows.window_size = cfg.channels * cfg.timesteps;
   for (std::size_t m = 0; m < 2; ++m) {
     for (std::size_t i = 0; i < per_mode; ++i) {
-      std::vector<float> w(cfg.channels * cfg.timesteps);
       for (std::size_t c = 0; c < cfg.channels; ++c) {
         for (std::size_t t = 0; t < cfg.timesteps; ++t) {
           const double base =
               m == 0 ? 0.2
                      : 0.8 + 0.2 * std::sin(2.0 * M_PI * static_cast<double>(t) / 8.0);
-          w[c * cfg.timesteps + t] =
-              static_cast<float>(base + rng.normal(0.0, 0.02));
+          windows.data.push_back(static_cast<float>(base + rng.normal(0.0, 0.02)));
         }
       }
-      windows.push_back(std::move(w));
     }
   }
   return windows;
@@ -56,7 +66,8 @@ std::vector<std::vector<float>> two_mode_windows(std::size_t per_mode, Rng& rng)
 TEST(FeatureCompressor, EmbeddingShape) {
   FeatureCompressor comp(small_compressor(), 1);
   Rng rng(1);
-  const auto windows = two_mode_windows(5, rng);
+  const Windows data = two_mode_windows(5, rng);
+  const WindowBatch windows = data.batch();
   const Points points = comp.embed(windows);
   ASSERT_EQ(points.size(), windows.size());
   for (const auto& p : points) {
@@ -70,7 +81,8 @@ TEST(FeatureCompressor, EmbeddingShape) {
 TEST(FeatureCompressor, TrainingReducesReconstructionLoss) {
   FeatureCompressor comp(small_compressor(), 2);
   Rng rng(2);
-  const auto windows = two_mode_windows(16, rng);
+  const Windows data = two_mode_windows(16, rng);
+  const WindowBatch windows = data.batch();
   const float before = comp.reconstruction_loss(windows);
   for (int i = 0; i < 25; ++i) {
     comp.fit(windows);
@@ -83,7 +95,8 @@ TEST(FeatureCompressor, TrainingReducesReconstructionLoss) {
 TEST(FeatureCompressor, EmbeddingSeparatesModes) {
   FeatureCompressor comp(small_compressor(), 3);
   Rng rng(3);
-  const auto windows = two_mode_windows(12, rng);
+  const Windows data = two_mode_windows(12, rng);
+  const WindowBatch windows = data.batch();
   for (int i = 0; i < 15; ++i) {
     comp.fit(windows);
   }
@@ -112,7 +125,8 @@ TEST(FeatureCompressor, DeterministicGivenSeed) {
   FeatureCompressor a(small_compressor(), 7);
   FeatureCompressor b(small_compressor(), 7);
   Rng rng(4);
-  const auto windows = two_mode_windows(4, rng);
+  const Windows data = two_mode_windows(4, rng);
+  const WindowBatch windows = data.batch();
   const Points pa = a.embed(windows);
   const Points pb = b.embed(windows);
   for (std::size_t i = 0; i < pa.size(); ++i) {
@@ -124,19 +138,17 @@ TEST(FeatureCompressor, DeterministicGivenSeed) {
 
 TEST(FeatureCompressor, WindowSizeMismatchRejected) {
   FeatureCompressor comp(small_compressor(), 5);
-  std::vector<std::vector<float>> bad = {{1.0f, 2.0f}};
+  const std::vector<float> row = {1.0f, 2.0f};
+  const WindowBatch bad(row.data(), 1, row.size());
   EXPECT_THROW(comp.embed(bad), PreconditionError);
   EXPECT_THROW(comp.fit(bad), PreconditionError);
 }
 
 TEST(FeatureCompressor, EmptyInputRejected) {
   FeatureCompressor comp(small_compressor(), 6);
-  const std::vector<std::vector<float>> none;
-  EXPECT_THROW(comp.embed(none), PreconditionError);
-  EXPECT_THROW(comp.fit(none), PreconditionError);
-  // The zero-copy batch entry points reject empty batches the same way.
-  EXPECT_THROW(comp.embed(dtmsv::twin::WindowBatch{}), PreconditionError);
-  EXPECT_THROW(comp.fit(dtmsv::twin::WindowBatch{}), PreconditionError);
+  EXPECT_THROW(comp.embed(WindowBatch{}), PreconditionError);
+  EXPECT_THROW(comp.fit(WindowBatch{}), PreconditionError);
+  EXPECT_THROW(comp.reconstruction_loss(WindowBatch{}), PreconditionError);
 }
 
 // -------------------------------------------------------- GroupConstructor

@@ -158,8 +158,8 @@ TEST(CompressorCorners, SingleWindowBatch) {
   cfg.timesteps = 8;
   cfg.embedding_dim = 3;
   core::FeatureCompressor comp(cfg, 9);
-  const std::vector<std::vector<float>> one = {
-      std::vector<float>(cfg.channels * cfg.timesteps, 0.5f)};
+  const std::vector<float> row(cfg.channels * cfg.timesteps, 0.5f);
+  const twin::WindowBatch one(row.data(), 1, row.size());
   const auto points = comp.embed(one);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].size(), 3u);
@@ -171,8 +171,9 @@ TEST(CompressorCorners, ConstantWindowsEmbedIdentically) {
   cfg.channels = 2;
   cfg.timesteps = 8;
   core::FeatureCompressor comp(cfg, 10);
-  const std::vector<float> w(cfg.channels * cfg.timesteps, 0.25f);
-  const auto points = comp.embed({w, w, w});
+  const std::size_t window = cfg.channels * cfg.timesteps;
+  const std::vector<float> rows(3 * window, 0.25f);
+  const auto points = comp.embed(twin::WindowBatch(rows.data(), 3, window));
   for (std::size_t d = 0; d < points[0].size(); ++d) {
     EXPECT_DOUBLE_EQ(points[0][d], points[1][d]);
     EXPECT_DOUBLE_EQ(points[1][d], points[2][d]);

@@ -136,13 +136,14 @@ TEST(GroupEfficiency, EmptyGroupRejected) {
 
 TEST(GroupEfficiencyJoint, ConstantMembersGiveMin) {
   const auto twins = efficiency_ramps({{3.0, 0.0}, {1.5, 0.0}}, 10);
-  const double eff = predict_group_efficiency_joint(twins, Members{0, 1}, 10.0, 10.0, 0.05);
+  const double eff =
+      forecast_group_channel(twins, Members{0, 1}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(eff, 1.5, 1e-9);
 }
 
 TEST(GroupEfficiencyJoint, RejectsOutOfRangeMember) {
   const auto twins = efficiency_ramps({{3.0, 0.0}, {1.5, 0.0}}, 10);
-  EXPECT_THROW(predict_group_efficiency_joint(twins, Members{0, 2}, 10.0, 10.0, 0.05),
+  EXPECT_THROW(forecast_group_channel(twins, Members{0, 2}, 10.0, 10.0, 0.05),
                PreconditionError);
 }
 
@@ -154,7 +155,8 @@ TEST(GroupEfficiencyJoint, HarmonicMeanOfAlternatingSeries) {
     obs.efficiency_bps_hz = (t % 2 == 0) ? 1.0 : 3.0;
     twin.record_channel(0, static_cast<double>(t), obs);
   }
-  const double eff = predict_group_efficiency_joint(twin, Members{0}, 10.0, 10.0, 0.05);
+  const double eff =
+      forecast_group_channel(twin, Members{0}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(eff, 1.5, 1e-9);
 }
 
@@ -171,7 +173,7 @@ TEST(GroupEfficiencyJoint, BelowMinOfMeansForFluctuatingMembers) {
     twins.record_channel(1, static_cast<double>(t), ob);
   }
   const double joint =
-      predict_group_efficiency_joint(twins, Members{0, 1}, 10.0, 10.0, 0.05);
+      forecast_group_channel(twins, Members{0, 1}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(joint, 1.0, 1e-9);
   MeanPredictor pred;
   const double naive =
@@ -186,13 +188,15 @@ TEST(GroupEfficiencyJoint, HoldsThroughMissingSamples) {
   ChannelObservation obs;
   obs.efficiency_bps_hz = 2.0;
   twin.record_channel(0, 1.0, obs);  // only one report in a 10-s window
-  const double eff = predict_group_efficiency_joint(twin, Members{0}, 10.0, 10.0, 0.05);
+  const double eff =
+      forecast_group_channel(twin, Members{0}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(eff, 2.0, 1e-9);
 }
 
 TEST(GroupEfficiencyJoint, EmptyHistoryFallsToFloor) {
   const TwinColumnStore twin(1);
-  const double eff = predict_group_efficiency_joint(twin, Members{0}, 10.0, 10.0, 0.05);
+  const double eff =
+      forecast_group_channel(twin, Members{0}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_DOUBLE_EQ(eff, 0.05);
 }
 

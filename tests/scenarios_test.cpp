@@ -116,6 +116,45 @@ TEST(Scenarios, StreamsToReportSink) {
   EXPECT_DOUBLE_EQ(streamed_actual, fleet_actual);
 }
 
+TEST(Scenarios, MeanKAndSilhouetteAverageShardsWithPredictions) {
+  // Flash crowd: warm-up intervals (every shard's first, including the
+  // surge shard's) predict nothing, so not every (shard, interval) counts.
+  const ScenarioResult result = run_scenario(smoke(ScenarioKind::kFlashCrowd));
+  double k_sum = 0.0;
+  double silhouette_sum = 0.0;
+  std::size_t predicted = 0;
+  std::size_t skipped = 0;
+  for (const core::FleetReport& r : result.reports) {
+    for (const core::ShardSummary& shard : r.shards) {
+      if (!shard.has_prediction) {
+        ++skipped;
+        continue;
+      }
+      k_sum += static_cast<double>(shard.k);
+      silhouette_sum += shard.silhouette;
+      ++predicted;
+    }
+  }
+  ASSERT_GT(predicted, 0u);
+  ASSERT_GT(skipped, 0u);
+  EXPECT_DOUBLE_EQ(result.mean_k, k_sum / static_cast<double>(predicted));
+  EXPECT_DOUBLE_EQ(result.mean_silhouette,
+                   silhouette_sum / static_cast<double>(predicted));
+  EXPECT_GE(result.mean_k, 2.0);
+
+  // Warm-up only: no interval predicts, so both means are 0.
+  ScenarioConfig cold = smoke(ScenarioKind::kSteadyState);
+  cold.intervals = cold.base.warmup_intervals;
+  const ScenarioResult none = run_scenario(cold);
+  for (const core::FleetReport& r : none.reports) {
+    for (const core::ShardSummary& shard : r.shards) {
+      ASSERT_FALSE(shard.has_prediction);
+    }
+  }
+  EXPECT_EQ(none.mean_k, 0.0);
+  EXPECT_EQ(none.mean_silhouette, 0.0);
+}
+
 TEST(Scenarios, DeterministicPerSeed) {
   for (const ScenarioKind kind :
        {ScenarioKind::kFlashCrowd, ScenarioKind::kMobilityChurn}) {

@@ -185,7 +185,8 @@ ModeResult run_scenarios(const cli::SimPlan& plan, std::ostream* report) {
   using core::json_number;
   using core::json_string;
   util::Table table({"job", "peak users", "cells", "handovers",
-                     "radio accuracy", "compute accuracy", "wall s"});
+                     "radio accuracy", "compute accuracy", "mean K",
+                     "mean silhouette", "wall s", "ms/interval"});
   ModeResult out;
   for (const cli::SimJob& job : plan.jobs) {
     const core::ScenarioConfig& s = job.scenario;
@@ -212,6 +213,7 @@ ModeResult run_scenarios(const cli::SimPlan& plan, std::ostream* report) {
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
             .count();
+    const double ms_per_interval = wall_s * 1e3 / static_cast<double>(s.intervals);
     if (sink != nullptr) {
       sink->meta("summary",
                  {{"label", json_string(job.label)},
@@ -219,14 +221,19 @@ ModeResult run_scenarios(const cli::SimPlan& plan, std::ostream* report) {
                   {"handovers", std::to_string(result.handovers)},
                   {"radio_accuracy", json_number(result.radio_accuracy)},
                   {"compute_accuracy", json_number(result.compute_accuracy)},
-                  {"wall_s", json_number(wall_s)}});
+                  {"mean_k", json_number(result.mean_k)},
+                  {"mean_silhouette", json_number(result.mean_silhouette)},
+                  {"wall_s", json_number(wall_s)},
+                  {"ms_per_interval", json_number(ms_per_interval)}});
       out.records += sink->record_count();
     }
     table.add_row({job.label, std::to_string(result.peak_users),
                    std::to_string(s.cell_count), std::to_string(result.handovers),
                    util::percent(result.radio_accuracy, 1),
                    util::percent(result.compute_accuracy, 1),
-                   util::fixed(wall_s, 2)});
+                   util::fixed(result.mean_k, 1),
+                   util::fixed(result.mean_silhouette, 3),
+                   util::fixed(wall_s, 2), util::fixed(ms_per_interval, 1)});
   }
   out.heading = std::to_string(plan.jobs.size()) + " scenario job" +
                 (plan.jobs.size() == 1 ? "" : "s");
