@@ -208,7 +208,7 @@ BENCHMARK(BM_CnnFitEpoch120Users);
 
 void BM_TwinSnapshotFull(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  twin::TwinColumnStore store(users);
+  twin::TwinColumnStore store(users, twin::kKeepAll);
   util::Rng rng(31);
   populate_store(store, rng);
   twin::FeatureArena arena;
@@ -282,7 +282,10 @@ void BM_DdqnTrainStep(benchmark::State& state) {
 BENCHMARK(BM_DdqnTrainStep);
 
 void BM_UdtIngestChannelSample(benchmark::State& state) {
-  twin::TwinColumnStore udt(1);
+  // The paper's 600 s horizon: after the first 1024 samples every record
+  // overwrites an out-of-horizon slot (a keep-everything store would grow
+  // with the iteration count).
+  twin::TwinColumnStore udt(1, 600.0);
   double t = 0.0;
   for (auto _ : state) {
     udt.record_channel(0, t, {12.0, 2.5, 0});
@@ -292,7 +295,7 @@ void BM_UdtIngestChannelSample(benchmark::State& state) {
 BENCHMARK(BM_UdtIngestChannelSample);
 
 void BM_FeatureWindowExtract(benchmark::State& state) {
-  twin::TwinColumnStore udt(1);
+  twin::TwinColumnStore udt(1, twin::kKeepAll);
   util::Rng rng(11);
   for (int t = 0; t < 600; ++t) {
     udt.record_channel(0, t, {rng.uniform(0.0, 25.0), rng.uniform(0.0, 5.0), 0});
@@ -328,7 +331,7 @@ BENCHMARK(BM_ChannelStep120Users);
 void BM_GroupChannelForecast(benchmark::State& state) {
   util::Rng rng(14);
   const auto count = static_cast<std::size_t>(state.range(0));
-  twin::TwinColumnStore twins(count);
+  twin::TwinColumnStore twins(count, twin::kKeepAll);
   std::vector<std::size_t> members(count);
   for (std::size_t u = 0; u < count; ++u) {
     members[u] = u;

@@ -51,8 +51,8 @@ struct ShardSummary {
   std::size_t users = 0;  // live users in the shard
   bool grouped = false;
   bool has_prediction = false;
-  std::size_t k = 0;
-  double silhouette = 0.0;
+  std::size_t k = 0;        // grouping chosen for the next interval
+  double silhouette = 0.0;  // of that grouping
   double predicted_radio_hz_total = 0.0;
   double actual_radio_hz_total = 0.0;
   double predicted_compute_total = 0.0;

@@ -76,7 +76,10 @@ struct EpochReport {
   util::IntervalId interval = 0;
   bool grouped = false;           // groups were active during this interval
   bool has_prediction = false;    // predictions existed for this interval
-  std::size_t k = 0;              // grouping chosen *for the next* interval
+  /// The grouping chosen at the end of this interval for the next one: its
+  /// group count and silhouette. The error fields score the grouping
+  /// chosen one interval earlier.
+  std::size_t k = 0;
   double silhouette = 0.0;
   double ddqn_epsilon = 0.0;
   double reconstruction_loss = 0.0;

@@ -105,11 +105,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ReportSink* sink) {
   double k_sum = 0.0;
   double silhouette_sum = 0.0;
   std::size_t predicted_shards = 0;
-  for (const FleetReport& r : result.reports) {
-    for (const ShardSummary& shard : r.shards) {
-      if (shard.has_prediction) {
-        k_sum += static_cast<double>(shard.k);
-        silhouette_sum += shard.silhouette;
+  for (std::size_t i = 0; i < result.reports.size(); ++i) {
+    const FleetReport& r = result.reports[i];
+    // A shard's k/silhouette describe the grouping it chose for the next
+    // interval, so a scored interval pairs with the same shard's previous
+    // summary (shards keep their index; surge shards only append).
+    for (std::size_t s = 0; s < r.shards.size(); ++s) {
+      if (r.shards[s].has_prediction) {
+        DTMSV_ENSURES(i > 0 && s < result.reports[i - 1].shards.size());
+        const ShardSummary& chosen = result.reports[i - 1].shards[s];
+        k_sum += static_cast<double>(chosen.k);
+        silhouette_sum += chosen.silhouette;
         ++predicted_shards;
       }
     }

@@ -74,8 +74,10 @@ struct ScenarioResult {
   /// Volume-weighted accuracy on fleet compute totals (robust to bursty
   /// per-interval transcode loads).
   double compute_accuracy = 0.0;
-  /// Grouping number and silhouette averaged over every (shard, interval)
-  /// pair with a prediction; 0 when none had one.
+  /// Group count and silhouette of the grouping each scored (shard,
+  /// interval) pair ran under — the one its shard chose at the end of the
+  /// previous interval — averaged over every pair with a prediction; 0
+  /// when none had one.
   double mean_k = 0.0;
   double mean_silhouette = 0.0;
 };

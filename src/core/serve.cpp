@@ -93,7 +93,7 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
       catalog_(video::Catalog::generate(config.scheme.session.engagement.catalog,
                                         rng_)),
       content_(predict::ContentStats::from_catalog(catalog_)),
-      twins_(config.scheme.user_count),
+      twins_(config.scheme.user_count, config.scheme.feature_window_s),
       queue_(config.queue_capacity),
       popularity_(config.scheme.popularity_forgetting),
       policy_(config.degradation),

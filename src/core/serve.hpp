@@ -242,6 +242,9 @@ class ServeLoop {
   util::Rng rng_;
   video::Catalog catalog_;
   predict::ContentStats content_;
+  /// Retains feature_window_s: every consumer reads
+  /// [now - feature_window_s, now), and a prediction at `now` runs after
+  /// draining only the events up to `now`.
   twin::TwinColumnStore twins_;
   twin::FeatureArena arena_;
   EventQueue queue_;

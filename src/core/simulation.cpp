@@ -44,7 +44,7 @@ Simulation::Simulation(const SchemeConfig& config)
       campus_(mobility::CampusMap::waterloo_campus()),
       catalog_(video::Catalog::generate(config.session.engagement.catalog, rng_)),
       content_(predict::ContentStats::from_catalog(catalog_)),
-      twins_(config.user_count),
+      twins_(config.user_count, config.feature_window_s + config.collection.latency_s),
       popularity_(config.popularity_forgetting),
       phy_(config.demand.efficiency_floor),
       playback_rng_(0),

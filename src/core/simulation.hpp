@@ -237,6 +237,9 @@ class Simulation {
 
   std::unique_ptr<mobility::MobilityField> mobility_;
   std::unique_ptr<wireless::ChannelModel> channel_;
+  /// Retains feature_window_s + collection.latency_s: every consumer reads
+  /// [now - feature_window_s, now), and reports are stamped up to
+  /// latency_s after now.
   twin::TwinColumnStore twins_;
   /// Pooled feature-extraction buffers handed to every TwinSnapshot: the
   /// interval path materialises windows/summaries in place (no per-user

@@ -16,6 +16,8 @@ namespace dtmsv::mobility {
 struct Position {
   double x = 0.0;
   double y = 0.0;
+
+  friend bool operator==(const Position&, const Position&) = default;
 };
 
 /// Euclidean distance between two positions.

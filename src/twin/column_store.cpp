@@ -27,13 +27,6 @@ void validate_window_spec(const WindowSpec& spec) {
   DTMSV_EXPECTS(spec.timesteps > 0);
 }
 
-/// Ring slots of a sparser attribute lane: 1/`divisor` of the channel
-/// lane's `history_capacity`, floored at min(history_capacity, 64).
-std::size_t sparse_lane(std::size_t history_capacity, std::size_t divisor) {
-  return std::min(history_capacity,
-                  std::max<std::size_t>(64, history_capacity / divisor));
-}
-
 /// The seed's per-channel resample: bin means over [from, now) with
 /// zero-order hold through empty bins (zeros before the first sample).
 /// Sums were accumulated oldest-first, so the division and hold chain
@@ -61,11 +54,11 @@ struct TwinColumnStore::RowScratch {
   }
 };
 
-TwinColumnStore::TwinColumnStore(std::size_t user_count, std::size_t history_capacity)
-    : channel_(user_count, history_capacity),
-      location_(user_count, sparse_lane(history_capacity, 4)),
-      watch_(user_count, sparse_lane(history_capacity, 8)),
-      preference_(user_count, sparse_lane(history_capacity, 16)),
+TwinColumnStore::TwinColumnStore(std::size_t user_count, double retention_s)
+    : channel_(user_count, retention_s),
+      location_(user_count, retention_s),
+      watch_(user_count, retention_s),
+      preference_(user_count, retention_s),
       estimators_(user_count) {
   DTMSV_EXPECTS(user_count > 0);
 }

@@ -4,6 +4,10 @@
 // One SoA ring-buffer column per attribute across ALL users (twin/
 // columns.hpp) and one PreferenceEstimator per user. A user is a slot
 // index; group consumers read the columns plus a span of member slots.
+// The store keeps what its consumers read, not a fixed slot count: every
+// column retains each user's samples within `retention_s` of that user's
+// newest one and grows with the report rate, so a window that starts no
+// earlier than `retention_s` before the newest sample is always complete.
 // Batch feature extraction into a FeatureArena re-extracts every user's
 // row on each call: every consumer reads a window ending at a new `now`,
 // so no row of an earlier call could be reused. Rows are extracted
@@ -29,16 +33,13 @@ class TwinColumnStore {
   /// Dimension of a summary-feature row.
   static constexpr std::size_t kSummaryDim = 6 + video::kCategoryCount;
 
-  /// `history_capacity`: channel-lane slots per user. The lanes are dense
-  /// (capacity stride per user) and the collector samples location / watch
-  /// / preference 5-60x sparser than the 1 Hz channel feedback, so those
-  /// lanes keep 1/4, 1/8 and 1/16 of it, floored at
-  /// min(history_capacity, 64) so tiny capacities keep uniform ring
-  /// semantics.
-  explicit TwinColumnStore(std::size_t user_count, std::size_t history_capacity = 2048);
+  /// `retention_s`: the longest span any consumer reads back from the
+  /// newest sample (Simulation: feature window plus reporting latency;
+  /// ServeLoop: the feature window). kKeepAll keeps everything.
+  TwinColumnStore(std::size_t user_count, double retention_s);
 
   std::size_t user_count() const { return estimators_.size(); }
-  std::size_t history_capacity() const { return channel_.capacity(); }
+  double retention_s() const { return channel_.retention_s(); }
 
   // --- ingestion ---
   void record_channel(std::size_t u, util::SimTime t, const ChannelObservation& obs);

@@ -16,6 +16,8 @@ struct ChannelObservation {
   double snr_db = 0.0;
   double efficiency_bps_hz = 0.0;
   std::size_t serving_bs = 0;
+
+  friend bool operator==(const ChannelObservation&, const ChannelObservation&) = default;
 };
 
 /// Watch observation: one finished view.
@@ -26,6 +28,8 @@ struct WatchObservation {
   double watch_seconds = 0.0;
   double watch_fraction = 0.0;
   bool completed = false;
+
+  friend bool operator==(const WatchObservation&, const WatchObservation&) = default;
 };
 
 /// Normalisation constants for feature extraction (so embeddings are

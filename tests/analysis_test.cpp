@@ -21,6 +21,7 @@ namespace {
 
 using namespace dtmsv::analysis;
 using dtmsv::behavior::PreferenceVector;
+using dtmsv::twin::kKeepAll;
 using dtmsv::twin::TwinColumnStore;
 using Members = std::vector<std::size_t>;
 using dtmsv::util::PreconditionError;
@@ -121,7 +122,7 @@ TEST(SwipingDistribution, ObservationValidation) {
 }
 
 TEST(BuildGroupSwiping, AggregatesMemberHistories) {
-  TwinColumnStore twins(2);
+  TwinColumnStore twins(2, kKeepAll);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_fraction = 0.9;
@@ -135,7 +136,7 @@ TEST(BuildGroupSwiping, AggregatesMemberHistories) {
 }
 
 TEST(BuildGroupSwiping, WindowExcludesOldEvents) {
-  TwinColumnStore twin(1);
+  TwinColumnStore twin(1, kKeepAll);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_fraction = 0.9;
@@ -487,7 +488,7 @@ TEST(RecommenderEquivalence, RankedPathMatchesFullSortOnSingleVideoCatalog) {
 TEST(AggregateGroupPreference, EvidenceWeighted) {
   constexpr std::size_t kHeavy = 0;
   constexpr std::size_t kLight = 1;
-  TwinColumnStore twins(2);
+  TwinColumnStore twins(2, kKeepAll);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_seconds = 1000.0;
@@ -505,7 +506,7 @@ TEST(AggregateGroupPreference, EvidenceWeighted) {
 }
 
 TEST(AggregateGroupPreference, EmptyGroupUniform) {
-  const PreferenceVector pref = aggregate_group_preference(TwinColumnStore(1), {});
+  const PreferenceVector pref = aggregate_group_preference(TwinColumnStore(1, kKeepAll), {});
   for (const double p : pref) {
     EXPECT_DOUBLE_EQ(p, 1.0 / kCategoryCount);
   }

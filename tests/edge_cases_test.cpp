@@ -250,7 +250,7 @@ TEST(RecommenderCorners, ExtremePreferenceConcentratesPlaylist) {
 // ----------------------------------------------------- UDT window corners
 
 TEST(UdtCorners, WindowLargerThanHistory) {
-  twin::TwinColumnStore twin(1);
+  twin::TwinColumnStore twin(1, twin::kKeepAll);
   const twin::FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   twin.record_channel(0, 5.0, {10.0, 2.0, 0});
   // Ask for a 1000-second window at t=10: only one sample exists.
@@ -264,7 +264,7 @@ TEST(UdtCorners, WindowLargerThanHistory) {
 }
 
 TEST(UdtCorners, SummaryWithOnlyWatchData) {
-  twin::TwinColumnStore twin(1);
+  twin::TwinColumnStore twin(1, twin::kKeepAll);
   const twin::FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   twin::WatchObservation w;
   w.category = video::Category::kComedy;

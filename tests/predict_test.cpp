@@ -25,6 +25,7 @@ using dtmsv::video::Category;
 using dtmsv::video::kCategoryCount;
 
 using dtmsv::twin::ChannelObservation;
+using dtmsv::twin::kKeepAll;
 using dtmsv::twin::TwinColumnStore;
 using Members = std::vector<std::size_t>;
 
@@ -32,7 +33,7 @@ using Members = std::vector<std::size_t>;
 /// efficiency ramp start + step * t at t = 0 .. samples - 1.
 TwinColumnStore efficiency_ramps(std::initializer_list<std::pair<double, double>> ramps,
                                  int samples) {
-  TwinColumnStore store(ramps.size());
+  TwinColumnStore store(ramps.size(), kKeepAll);
   std::size_t u = 0;
   for (const auto& [start, step] : ramps) {
     for (int t = 0; t < samples; ++t) {
@@ -59,7 +60,7 @@ TEST(LastValuePredictor, ReturnsNewestSample) {
 }
 
 TEST(LastValuePredictor, FallbackWhenEmpty) {
-  const TwinColumnStore twin(1);
+  const TwinColumnStore twin(1, kKeepAll);
   LastValuePredictor pred;
   EXPECT_DOUBLE_EQ(pred.predict(twin.channel_column(), 0, 10.0, 10.0, 0.7), 0.7);
 }
@@ -128,7 +129,7 @@ TEST(GroupEfficiency, FloorApplied) {
 }
 
 TEST(GroupEfficiency, EmptyGroupRejected) {
-  const TwinColumnStore twins(1);
+  const TwinColumnStore twins(1, kKeepAll);
   MeanPredictor pred;
   EXPECT_THROW(predict_group_efficiency(twins, {}, pred, 5.0, 5.0, 0.05),
                PreconditionError);
@@ -149,7 +150,7 @@ TEST(GroupEfficiencyJoint, RejectsOutOfRangeMember) {
 
 TEST(GroupEfficiencyJoint, HarmonicMeanOfAlternatingSeries) {
   // One member alternates 1 and 3 each second: harmonic mean = 2/(1+1/3) = 1.5.
-  TwinColumnStore twin(1);
+  TwinColumnStore twin(1, kKeepAll);
   for (int t = 0; t < 10; ++t) {
     ChannelObservation obs;
     obs.efficiency_bps_hz = (t % 2 == 0) ? 1.0 : 3.0;
@@ -163,7 +164,7 @@ TEST(GroupEfficiencyJoint, HarmonicMeanOfAlternatingSeries) {
 TEST(GroupEfficiencyJoint, BelowMinOfMeansForFluctuatingMembers) {
   // Two members fade out of phase: min-series is 1 everywhere, while each
   // member's own mean is 2 — the joint estimate must catch the min bias.
-  TwinColumnStore twins(2);
+  TwinColumnStore twins(2, kKeepAll);
   for (int t = 0; t < 10; ++t) {
     ChannelObservation oa;
     ChannelObservation ob;
@@ -184,7 +185,7 @@ TEST(GroupEfficiencyJoint, BelowMinOfMeansForFluctuatingMembers) {
 
 TEST(GroupEfficiencyJoint, HoldsThroughMissingSamples) {
   // Sparse reports (loss): gaps are held from the last sample.
-  TwinColumnStore twin(1);
+  TwinColumnStore twin(1, kKeepAll);
   ChannelObservation obs;
   obs.efficiency_bps_hz = 2.0;
   twin.record_channel(0, 1.0, obs);  // only one report in a 10-s window
@@ -194,7 +195,7 @@ TEST(GroupEfficiencyJoint, HoldsThroughMissingSamples) {
 }
 
 TEST(GroupEfficiencyJoint, EmptyHistoryFallsToFloor) {
-  const TwinColumnStore twin(1);
+  const TwinColumnStore twin(1, kKeepAll);
   const double eff =
       forecast_group_channel(twin, Members{0}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_DOUBLE_EQ(eff, 0.05);
@@ -204,8 +205,8 @@ TEST(GroupConsumers, SharedStoreMembersMatchDedicatedStore) {
   // Members {1, 3} of a 4-user store must read exactly what a store holding
   // only those two users' histories reads: the member span picks slots and
   // nothing of users 0 and 2 leaks in.
-  TwinColumnStore shared(4);
-  TwinColumnStore dedicated(2);
+  TwinColumnStore shared(4, kKeepAll);
+  TwinColumnStore dedicated(2, kKeepAll);
   Rng rng(21);
   for (int t = 0; t < 120; ++t) {
     for (std::size_t u = 0; u < 4; ++u) {

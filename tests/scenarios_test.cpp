@@ -119,19 +119,27 @@ TEST(Scenarios, StreamsToReportSink) {
 TEST(Scenarios, MeanKAndSilhouetteAverageShardsWithPredictions) {
   // Flash crowd: warm-up intervals (every shard's first, including the
   // surge shard's) predict nothing, so not every (shard, interval) counts.
+  // A shard summary's k/silhouette describe the grouping chosen for the
+  // next interval, so each scored interval counts the grouping its shard
+  // chose one interval earlier: the last interval's choice is never
+  // scored.
   const ScenarioResult result = run_scenario(smoke(ScenarioKind::kFlashCrowd));
   double k_sum = 0.0;
   double silhouette_sum = 0.0;
   std::size_t predicted = 0;
   std::size_t skipped = 0;
-  for (const core::FleetReport& r : result.reports) {
-    for (const core::ShardSummary& shard : r.shards) {
-      if (!shard.has_prediction) {
+  for (std::size_t i = 0; i < result.reports.size(); ++i) {
+    const core::FleetReport& r = result.reports[i];
+    for (std::size_t s = 0; s < r.shards.size(); ++s) {
+      if (!r.shards[s].has_prediction) {
         ++skipped;
         continue;
       }
-      k_sum += static_cast<double>(shard.k);
-      silhouette_sum += shard.silhouette;
+      ASSERT_GT(i, 0u);
+      const core::ShardSummary& chosen = result.reports[i - 1].shards.at(s);
+      EXPECT_GE(chosen.k, 2u) << "interval " << i << " shard " << s;  // k_min
+      k_sum += static_cast<double>(chosen.k);
+      silhouette_sum += chosen.silhouette;
       ++predicted;
     }
   }

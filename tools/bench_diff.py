@@ -14,6 +14,11 @@ as skipped instead of compared. A benchmark marks such rows with a
 `pool_threads` counter (the thread-scaling rows of bench_micro_perf).
 When the two CPU counts differ, both are printed.
 
+Entries that carry latency percentiles (`p95_ms`, `p99_ms`: the serve
+bench) get one more row per percentile, named `<benchmark>:p95_ms`. Those
+rows are compared at the same threshold but only ever warn, also under
+--strict: a percentile over a dozen predictions is too thin to gate.
+
 Standard library only, by design.
 
 Usage:
@@ -32,6 +37,7 @@ import sys
 
 
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+PERCENTILE_FIELDS = ("p95_ms", "p99_ms")
 
 
 def die(message):
@@ -40,8 +46,8 @@ def die(message):
 
 
 def load_benchmarks(path, metric):
-    """Returns ({name: time_ns}, {name: pool_threads}, num_cpus or None) for
-    the plain iteration entries of `path`."""
+    """Returns ({name: time_ns}, {name: pool_threads}, num_cpus or None,
+    {"name:pNN_ms": time_ns}) for the plain iteration entries of `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -51,6 +57,7 @@ def load_benchmarks(path, metric):
         die(f"{path} is not valid JSON: {err}")
     out = {}
     pool = {}
+    percentiles = {}
     for entry in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions);
         # manual emitter entries are run_type == "iteration" as well.
@@ -64,10 +71,13 @@ def load_benchmarks(path, metric):
         out[name] = float(value) * NS_PER_UNIT[entry.get("time_unit", "ns")]
         if entry.get("pool_threads") is not None:
             pool[name] = int(entry["pool_threads"])
+        for field in PERCENTILE_FIELDS:
+            if entry.get(field) is not None:
+                percentiles[f"{name}:{field}"] = float(entry[field]) * NS_PER_UNIT["ms"]
     if not out:
         die(f"{path} holds no benchmark entries")
     num_cpus = doc.get("context", {}).get("num_cpus")
-    return out, pool, int(num_cpus) if num_cpus else None
+    return out, pool, int(num_cpus) if num_cpus else None, percentiles
 
 
 def format_ns(ns):
@@ -110,12 +120,14 @@ def main():
     if args.threshold <= 0:
         parser.error("--threshold must be positive")
 
-    baseline, base_pool, base_cpus = load_benchmarks(args.baseline, args.metric)
-    current, cur_pool, cur_cpus = load_benchmarks(args.current, args.metric)
+    baseline, base_pool, base_cpus, base_pct = load_benchmarks(args.baseline, args.metric)
+    current, cur_pool, cur_cpus, cur_pct = load_benchmarks(args.current, args.metric)
     if args.filter:
         pattern = re.compile(args.filter)
         baseline = {k: v for k, v in baseline.items() if pattern.search(k)}
         current = {k: v for k, v in current.items() if pattern.search(k)}
+        base_pct = {k: v for k, v in base_pct.items() if pattern.search(k)}
+        cur_pct = {k: v for k, v in cur_pct.items() if pattern.search(k)}
 
     if base_cpus and cur_cpus and base_cpus != cur_cpus:
         print(f"note: CPU counts differ: baseline num_cpus={base_cpus}, "
@@ -133,27 +145,36 @@ def main():
     only_baseline = sorted(set(baseline) - set(current))
     only_current = sorted(set(current) - set(baseline))
 
-    regressions = []
-    improvements = []
-    width = max((len(n) for n in shared), default=4)
+    def compare(names, base, cur):
+        """Prints one delta row per name; returns (regressions, improvements)."""
+        slower, faster = [], []
+        for name in names:
+            base_ns = base[name]
+            cur_ns = cur[name]
+            delta = (cur_ns - base_ns) / base_ns * 100.0 if base_ns > 0 else 0.0
+            flag = ""
+            if delta > args.threshold:
+                flag = "  <-- REGRESSION"
+                slower.append((name, delta))
+            elif delta < -args.threshold:
+                flag = "  (faster)"
+                faster.append((name, delta))
+            print(
+                f"{name:<{width}}  {format_ns(base_ns):>10}  "
+                f"{format_ns(cur_ns):>10}  {delta:>+7.1f}%{flag}"
+            )
+        return slower, faster
+
+    pct_shared = [name for name in base_pct if name in cur_pct]
+    width = max((len(n) for n in shared + pct_shared), default=4)
     print(f"bench_diff: {args.current} vs {args.baseline} "
           f"({args.metric}, threshold {args.threshold:g}%)\n")
     print(f"{'benchmark':<{width}}  {'baseline':>10}  {'current':>10}  {'delta':>8}")
-    for name in shared:
-        base_ns = baseline[name]
-        cur_ns = current[name]
-        delta = (cur_ns - base_ns) / base_ns * 100.0 if base_ns > 0 else 0.0
-        flag = ""
-        if delta > args.threshold:
-            flag = "  <-- REGRESSION"
-            regressions.append((name, delta))
-        elif delta < -args.threshold:
-            flag = "  (faster)"
-            improvements.append((name, delta))
-        print(
-            f"{name:<{width}}  {format_ns(base_ns):>10}  "
-            f"{format_ns(cur_ns):>10}  {delta:>+7.1f}%{flag}"
-        )
+    regressions, improvements = compare(shared, baseline, current)
+    pct_regressions = []
+    if pct_shared:
+        print("\nlatency percentiles (warn-only):")
+        pct_regressions, _ = compare(pct_shared, base_pct, cur_pct)
 
     if skipped:
         print(f"\nskipped, more pool threads than {max_threads} CPU(s): "
@@ -183,7 +204,10 @@ def main():
         f"{len(regressions)} regression(s) beyond "
         f"{args.threshold:g}%, {len(improvements)} improvement(s) beyond it"
     )
-    for name, delta in regressions:
+    if pct_shared:
+        print(f"{len(pct_shared)} percentile(s) compared, "
+              f"{len(pct_regressions)} beyond {args.threshold:g}% (warn-only)")
+    for name, delta in regressions + pct_regressions:
         message = (
             f"{name} regressed {delta:+.1f}% vs baseline "
             f"(threshold {args.threshold:g}%)"
